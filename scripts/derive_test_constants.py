@@ -65,7 +65,7 @@ show("adaptive_alpha((0.7,0.2,0.1), rho=0.5)", alpha_ad)
 alpha = mpf("0.1")
 label = [(1 - alpha + alpha / 3), alpha / 3, alpha / 3]
 ce = -sum(l * log(pp) for l, pp in zip(label, p_z))
-show("smoothed_ce(uniform_ls a=0.1, k=0, z=(2,1,0))", ce)
+show("smoothed_ce(ls a=0.1, k=0, z=(2,1,0))", ce)
 
 # cp loss, k=0, beta_cp=0.1
 cp = -log(p_z[0]) - mpf("0.1") * mentropy(p_z)

@@ -144,6 +144,33 @@ def _load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"bad config {path}: {e}") from None
 
 
+def _load_experiment(path: str) -> tuple[ExperimentConfig, Dataset]:
+    """Load a config and build its dataset; ValueError names the bad field."""
+    cfg = _load_config(path)
+    try:
+        data = build_dataset(cfg.dataset)
+    except KeyError as e:
+        raise ValueError(f"dataset: missing field {e}") from None
+    except (OSError, ValueError, TypeError) as e:
+        raise ValueError(f"dataset: {e}") from None
+    for split in ("train", "val", "test"):
+        if data.splits[split].size == 0:
+            raise ValueError(f"dataset: split {split!r} is empty")
+    n_train = data.splits["train"].size
+    if cfg.train.batch_size > n_train:
+        raise ValueError(f"train.batch_size {cfg.train.batch_size} exceeds the {n_train} rows of the training split")
+    return cfg, data
+
+
+def _shape_mismatch(what: str, model: MlpModel, data: Dataset) -> str | None:
+    if model.input_dim == data.dim and model.num_classes == data.num_classes:
+        return None
+    return (
+        f"{what} expects {model.input_dim} features / {model.num_classes} classes, "
+        f"dataset has {data.dim} / {data.num_classes}"
+    )
+
+
 def _run_cfg(cfg: ExperimentConfig, mode: str, seed: int) -> TrainConfig:
     # warm-up belongs to the two-stage method; baselines use their own
     # labels from step 0
@@ -153,21 +180,23 @@ def _run_cfg(cfg: ExperimentConfig, mode: str, seed: int) -> TrainConfig:
 
 def cmd_train(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg, data = _load_experiment(args.config)
     except ValueError as e:
         return _fail(str(e), 2)
-    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
-    data = build_dataset(cfg.dataset)
     teacher = None
     if "kd" in cfg.modes:
         path = cfg.teacher_checkpoint
         if not path:
             return _fail("kd mode requires teacher_checkpoint in the config", 2)
-        if not os.path.exists(path):
-            return _fail(f"teacher checkpoint not found: {path}", 2)
-        teacher = load_checkpoint(path)
+        try:
+            teacher = load_checkpoint(path)
+        except (OSError, ValueError) as e:
+            return _fail(f"cannot load teacher_checkpoint {path}: {e}", 2)
+        mismatch = _shape_mismatch(f"teacher_checkpoint {path}", teacher, data)
+        if mismatch:
+            return _fail(mismatch, 2)
+    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     summary: dict = {}
     any_failure = False
@@ -212,11 +241,10 @@ def cmd_train(args) -> int:
 
 def cmd_teacher(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg, data = _load_experiment(args.config)
     except ValueError as e:
         return _fail(str(e), 2)
     out_dir = _resolve_out_dir(args.out, cfg.out_dir)
-    data = build_dataset(cfg.dataset)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     path = os.path.join(out_dir, "teacher.checkpoint.json")
     teacher_cfg = replace(cfg.train, seed=seed)
@@ -265,20 +293,16 @@ def cmd_smooth(args) -> int:
 
 def cmd_hist(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg, data = _load_experiment(args.config)
     except ValueError as e:
         return _fail(str(e), 2)
     try:
         model = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as e:
         return _fail(f"cannot load checkpoint {args.checkpoint}: {e}", 2)
-    data = build_dataset(cfg.dataset)
-    if model.input_dim != data.dim or model.num_classes != data.num_classes:
-        return _fail(
-            f"checkpoint expects {model.input_dim} features / {model.num_classes} classes, "
-            f"dataset has {data.dim} / {data.num_classes}",
-            2,
-        )
+    mismatch = _shape_mismatch("checkpoint", model, data)
+    if mismatch:
+        return _fail(mismatch, 2)
     ev = evaluate(model, data, split=args.split)
     out_dir = _resolve_out_dir(args.out, cfg.out_dir)
     hist_doc = {

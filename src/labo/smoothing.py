@@ -13,12 +13,12 @@ tempered output p^(1/tau) / sum(p^(1/tau)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import numerics
-from .numerics import check_logits, check_prob_vec, onehot, uniform
+from .numerics import check_logits, check_prob_vec, onehot
 
 __all__ = [
     "MODES",
@@ -31,10 +31,9 @@ __all__ = [
     "labo_from_logits",
     "adaptive_alpha",
     "build_label",
-    "build_label_batch",
 ]
 
-MODES = ("none", "uniform_ls", "kd_teacher", "labo")
+MODES = ("none", "ls", "kd", "labo")
 ALPHA_RULES = ("fixed", "adaptive")
 
 
@@ -73,9 +72,6 @@ class SmoothingConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SmoothingConfig":
         return cls(**d)
-
-    def with_mode(self, mode: str) -> "SmoothingConfig":
-        return replace(self, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -168,11 +164,11 @@ def build_label(k: int, z, cfg: SmoothingConfig, teacher_p=None) -> SmoothedLabe
     num_classes = z.shape[0]
     if cfg.mode == "none":
         return SmoothedLabel(target=k, alpha_used=0.0, dist=onehot(k, num_classes))
-    if cfg.mode == "uniform_ls":
+    if cfg.mode == "ls":
         return uniform_smooth(k, num_classes, cfg.alpha)
-    if cfg.mode == "kd_teacher":
+    if cfg.mode == "kd":
         if teacher_p is None:
-            raise ValueError("kd_teacher mode requires teacher_p")
+            raise ValueError("kd mode requires teacher_p")
         return mix_label(k, teacher_p, cfg.alpha)
     # labo: alpha from the rule applied to the current model distribution,
     # smoothing distribution from the tempered logits.
@@ -183,47 +179,3 @@ def build_label(k: int, z, cfg: SmoothingConfig, teacher_p=None) -> SmoothedLabe
         alpha = cfg.alpha
     p_ls = labo_from_logits(z, cfg.tau)
     return mix_label(k, p_ls, alpha)
-
-
-def build_label_batch(ks, Z, cfg: SmoothingConfig, teacher_P=None):
-    """Vectorized `build_label` over a batch.
-
-    Args:
-        ks: int array (n,) of target classes.
-        Z: float array (n, K) of logits.
-        teacher_P: optional (n, K) teacher distributions for kd_teacher.
-
-    Returns:
-        (dist, alphas): the (n, K) label matrix and the (n,) mixing weights
-        actually applied. Rows match per-instance `build_label` output.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    ks = np.asarray(ks)
-    n, num_classes = Z.shape
-    rows = np.arange(n)
-
-    if cfg.mode == "none":
-        dist = np.zeros((n, num_classes))
-        dist[rows, ks] = 1.0
-        return dist, np.zeros(n)
-    if cfg.mode == "uniform_ls":
-        dist = np.full((n, num_classes), cfg.alpha / num_classes)
-        dist[rows, ks] = 1.0 - cfg.alpha + cfg.alpha / num_classes
-        return dist, np.full(n, cfg.alpha)
-    if cfg.mode == "kd_teacher":
-        if teacher_P is None:
-            raise ValueError("kd_teacher mode requires teacher_P")
-        dist = cfg.alpha * teacher_P
-        dist[rows, ks] += 1.0 - cfg.alpha
-        return dist, np.full(n, cfg.alpha)
-
-    P = numerics.softmax_rows(Z)
-    if cfg.alpha_rule == "adaptive":
-        h_u = np.log(num_classes)
-        alphas = (h_u - cfg.rho * numerics.entropy_rows(P)) / h_u
-    else:
-        alphas = np.full(n, cfg.alpha)
-    P_ls = numerics.softmax_rows(Z / cfg.tau)
-    dist = alphas[:, None] * P_ls
-    dist[rows, ks] += 1.0 - alphas
-    return dist, alphas

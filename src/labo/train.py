@@ -21,7 +21,8 @@ from . import numerics
 from .data import Dataset
 from .io import atomic_write_text
 from .model import MlpModel, SgdOptimizer, save_checkpoint
-from .smoothing import SmoothingConfig, build_label_batch
+from .objectives import batch_objective
+from .smoothing import MODES, SmoothingConfig
 
 __all__ = [
     "TRAIN_MODES",
@@ -36,13 +37,12 @@ __all__ = [
     "write_reports_csv",
 ]
 
-TRAIN_MODES = ("none", "ls", "cp", "kd", "labo")
+# The label modes plus the confidence-penalty baseline, which trains on
+# one-hot labels.
+TRAIN_MODES = MODES + ("cp",)
 
 # Mixing weight for uniform label smoothing during warm-up steps.
 WARMUP_ALPHA = 0.1
-
-# TrainConfig.mode -> label-construction mode
-_LABEL_MODE = {"none": "none", "ls": "uniform_ls", "kd": "kd_teacher", "labo": "labo"}
 
 
 @dataclass(frozen=True)
@@ -145,36 +145,6 @@ def evaluate(model: MlpModel, data: Dataset, split: str = "val") -> EvalResult:
     )
 
 
-def _batch_losses_and_grad(cfg, ks, Z, label_cfg, teacher_P):
-    """Per-row objective values, mean logit gradient, and applied alphas."""
-    n, num_classes = Z.shape
-    rows = np.arange(n)
-    P = numerics.softmax_rows(Z)
-
-    if cfg.mode == "cp" and label_cfg is None:
-        logp = numerics.log_softmax_rows(Z)
-        H = numerics.entropy_rows(P)
-        losses = -logp[rows, ks] - cfg.beta_cp * H
-        grad = P.copy()
-        grad[rows, ks] -= 1.0
-        grad += cfg.beta_cp * P * (logp + H[:, None])
-        return losses, grad / n, np.zeros(n)
-
-    labels, alphas = build_label_batch(ks, Z, label_cfg, teacher_P)
-    logp = numerics.log_softmax_rows(Z)
-    losses = -(labels * logp).sum(axis=1)
-    if label_cfg.mode == "labo":
-        # KL(p_ls || U) = log K - H(p_ls), weighted by beta = alpha * tau
-        P_ls = numerics.softmax_rows(Z / label_cfg.tau)
-        losses = losses + alphas * label_cfg.tau * (np.log(num_classes) - numerics.entropy_rows(P_ls))
-    elif label_cfg.mode == "kd_teacher":
-        # report the true distillation loss, which differs from the
-        # smoothed CE by the constant alpha * (KL(teacher||U) - log K)
-        losses = losses - alphas * numerics.entropy_rows(teacher_P)
-    grad = (P - labels) / n
-    return losses, grad, alphas
-
-
 def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None):
     """Train `model` in place and return (best model, reports).
 
@@ -191,11 +161,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
     rng = np.random.default_rng(cfg.seed)
     optimizer = SgdOptimizer(model, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
-    warmup_cfg = SmoothingConfig(mode="uniform_ls", alpha=WARMUP_ALPHA)
-    if cfg.mode == "cp":
-        main_cfg = None
-    else:
-        main_cfg = replace(cfg.smoothing, mode=_LABEL_MODE[cfg.mode])
+    warmup_cfg = SmoothingConfig(alpha=WARMUP_ALPHA)
 
     train_idx = data.splits["train"]
     if train_idx.size < cfg.batch_size:
@@ -219,12 +185,9 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
         ks = data.labels[batch]
         Z = model.forward(X)
 
-        warm = t < cfg.warmup
-        label_cfg = warmup_cfg if warm else main_cfg
-        teacher_P = None
-        if not warm and cfg.mode == "kd":
-            teacher_P = numerics.softmax_rows(teacher.forward(X))
-        losses, grad, alphas = _batch_losses_and_grad(cfg, ks, Z, label_cfg, teacher_P)
+        mode, smoothing = ("ls", warmup_cfg) if t < cfg.warmup else (cfg.mode, cfg.smoothing)
+        teacher_logP = numerics.log_softmax_rows(teacher.forward(X)) if mode == "kd" else None
+        _, alphas, losses, grad = batch_objective(ks, Z, mode, smoothing, cfg.beta_cp, teacher_logP)
 
         batch_loss = float(losses.mean())
         if not np.isfinite(batch_loss):

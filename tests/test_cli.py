@@ -134,6 +134,58 @@ class TestTrainCommand:
         assert summary["kd"]["failures"] == []
 
 
+class TestConfigPreflight:
+    """Bad dataset, batch size or teacher: exit 2 naming the field, before any run."""
+
+    @pytest.mark.parametrize("command", ["train", "teacher", "hist"])
+    def test_unknown_dataset_kind(self, tmp_path, capsys, command):
+        cfg_path = small_config(tmp_path, dataset={"kind": "nope"})
+        ckpt = tmp_path / "model.checkpoint.json"
+        save_checkpoint(MlpModel([2, 8, 3], seed=0), str(ckpt))
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg_path, "--out", str(out)]
+        if command == "hist":
+            argv += ["--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        assert "dataset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_csv_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        cfg_path = small_config(tmp_path, dataset={"kind": "csv", "path": missing, "label_column": "y"})
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "dataset" in err and missing in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_split(self, tmp_path, capsys):
+        # one row per class rounds the 10% validation share down to nothing
+        cfg_path = small_config(tmp_path, dataset={"kind": "blobs", "num_classes": 3, "per_class": 1})
+        assert main(["teacher", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "split 'val' is empty" in capsys.readouterr().err
+
+    def test_batch_size_larger_than_training_split(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path)
+        doc = json.loads(open(cfg_path).read())
+        doc["train"]["batch_size"] = 100000
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "train.batch_size" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_kd_with_mismatched_teacher(self, tmp_path, capsys):
+        teacher_path = tmp_path / "k3.teacher.json"
+        save_checkpoint(MlpModel([2, 8, 3], seed=0), str(teacher_path))
+        four_class = {"kind": "blobs", "num_classes": 4, "per_class": 60, "dim": 2, "std": 1.0, "seed": 7}
+        cfg_path = small_config(tmp_path, dataset=four_class, modes=["kd"], teacher_checkpoint=str(teacher_path))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "teacher_checkpoint" in err and "3 classes" in err
+        assert not (out / "summary.json").exists()
+
+
 class TestSmoothCommand:
     def test_inspects_pipeline(self, capsys):
         assert main(["smooth", "--logits", "2,1,0", "--k", "0", "--tau", "2", "--alpha", "0.4"]) == 0

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from labo.numerics import entropy, onehot, softmax, tempered_softmax, uniform
+from labo.numerics import entropy, log_softmax_rows, onehot, softmax, tempered_softmax, uniform
+from labo.objectives import batch_objective
 from labo.smoothing import (
     SmoothingConfig,
     adaptive_alpha,
     build_label,
-    build_label_batch,
     labo_from_logits,
     labo_optimal_smoothing,
     mix_label,
@@ -52,7 +52,7 @@ class TestSmoothingConfig:
             SmoothingConfig(**kwargs)
 
     def test_dict_round_trip(self):
-        cfg = SmoothingConfig(mode="uniform_ls", alpha=0.2, tau=2.0)
+        cfg = SmoothingConfig(mode="ls", alpha=0.2, tau=2.0)
         assert SmoothingConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -222,8 +222,8 @@ class TestBuildLabel:
             label = build_label(1, z, cfg)
             np.testing.assert_array_equal(label.dist, onehot(1, 3))
 
-    def test_uniform_ls_matches_uniform_smooth(self):
-        cfg = SmoothingConfig(mode="uniform_ls", alpha=0.1)
+    def test_ls_matches_uniform_smooth(self):
+        cfg = SmoothingConfig(mode="ls", alpha=0.1)
         label = build_label(2, np.zeros(10), cfg)
         np.testing.assert_allclose(label.dist, uniform_smooth(2, 10, 0.1).dist, atol=1e-15)
 
@@ -240,14 +240,14 @@ class TestBuildLabel:
         assert label.alpha_used == 0.0
 
     def test_kd_requires_teacher(self):
-        cfg = SmoothingConfig(mode="kd_teacher", alpha=0.5)
+        cfg = SmoothingConfig(mode="kd", alpha=0.5)
         with pytest.raises(ValueError, match="teacher"):
             build_label(0, [1.0, 0.0], cfg)
         label = build_label(0, [1.0, 0.0], cfg, teacher_p=[0.8, 0.2])
         np.testing.assert_allclose(label.dist, [0.9, 0.1], atol=1e-15)
 
     def test_returns_fresh_arrays(self):
-        cfg = SmoothingConfig(mode="uniform_ls", alpha=0.1)
+        cfg = SmoothingConfig(mode="ls", alpha=0.1)
         first = build_label(0, [1.0, 0.0, 2.0], cfg)
         first.dist[0] = 99.0
         second = build_label(0, [1.0, 0.0, 2.0], cfg)
@@ -255,12 +255,14 @@ class TestBuildLabel:
 
 
 class TestBuildLabelBatch:
+    """The label matrix of `batch_objective` against per-instance `build_label`."""
+
     @pytest.mark.parametrize(
         "cfg",
         [
             SmoothingConfig(mode="none"),
-            SmoothingConfig(mode="uniform_ls", alpha=0.1),
-            SmoothingConfig(mode="kd_teacher", alpha=0.4),
+            SmoothingConfig(mode="ls", alpha=0.1),
+            SmoothingConfig(mode="kd", alpha=0.4),
             SmoothingConfig(mode="labo", alpha_rule="fixed", alpha=0.3, tau=1.25),
             SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=1.25),
         ],
@@ -270,18 +272,18 @@ class TestBuildLabelBatch:
         n, num_classes = 16, 5
         Z = rng.normal(0, 3, size=(n, num_classes))
         ks = rng.integers(num_classes, size=n)
-        teacher_P = np.stack([interior_simplex(rng, num_classes) for _ in range(n)])
-        dist, alphas = build_label_batch(ks, Z, cfg, teacher_P)
+        teacher_logP = log_softmax_rows(rng.normal(0, 2, size=(n, num_classes)))
+        dist, alphas, _, _ = batch_objective(ks, Z, cfg.mode, cfg, teacher_logP=teacher_logP)
         assert dist.shape == (n, num_classes) and alphas.shape == (n,)
         for i in range(n):
-            single = build_label(int(ks[i]), Z[i], cfg, teacher_p=teacher_P[i])
+            single = build_label(int(ks[i]), Z[i], cfg, teacher_p=np.exp(teacher_logP[i]))
             np.testing.assert_allclose(dist[i], single.dist, atol=1e-14)
             assert alphas[i] == pytest.approx(single.alpha_used, abs=1e-14)
 
     def test_kd_requires_teacher(self):
-        cfg = SmoothingConfig(mode="kd_teacher")
+        cfg = SmoothingConfig(mode="kd")
         with pytest.raises(ValueError, match="teacher"):
-            build_label_batch(np.zeros(2, dtype=int), np.zeros((2, 3)), cfg)
+            batch_objective(np.zeros(2, dtype=int), np.zeros((2, 3)), "kd", cfg)
 
     def test_no_state_between_calls(self):
         """Labels are rebuilt from scratch; mutating one batch's output
@@ -289,8 +291,10 @@ class TestBuildLabelBatch:
         cfg = SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=1.25)
         ks = np.array([0, 1])
         Z = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 2.0]])
-        first, _ = build_label_batch(ks, Z, cfg)
-        reference = first.copy()
-        first += 17.0
-        second, _ = build_label_batch(ks, Z, cfg)
-        np.testing.assert_array_equal(second, reference)
+        first = batch_objective(ks, Z, "labo", cfg)
+        reference = [a.copy() for a in first]
+        for a in first:
+            a += 17.0
+        second = batch_objective(ks, Z, "labo", cfg)
+        for a, b in zip(second, reference):
+            np.testing.assert_array_equal(a, b)

@@ -104,7 +104,7 @@ class TestDeterminismAndDetachment:
         teacher = MlpModel([2, 64, 3], seed=99)
 
         kd_model = MlpModel([2, 16, 3], seed=4)
-        kd_cfg = make_cfg(mode="kd", seed=4, smoothing=SmoothingConfig(mode="kd_teacher", alpha=0.0))
+        kd_cfg = make_cfg(mode="kd", seed=4, smoothing=SmoothingConfig(mode="kd", alpha=0.0))
         run_training(kd_model, small_blobs, kd_cfg, teacher=teacher)
 
         none_model = MlpModel([2, 16, 3], seed=4)
