@@ -16,6 +16,7 @@ environment variable, which is in turn overridden by --out.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -62,6 +63,9 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in TRAIN_MODES:
                 raise ValueError(f"unknown mode {mode!r}, expected one of {TRAIN_MODES}")
+        for name, values, low in (("hidden", self.hidden, 1), ("seeds", self.seeds, 0)):
+            if not isinstance(values, list) or not all(type(v) is int and v >= low for v in values):
+                raise ValueError(f"{name} must be a list of integers >= {low}, got {values!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -78,7 +82,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         if "train" in d and isinstance(d["train"], dict):
-            d["train"] = TrainConfig.from_dict(d["train"])
+            try:
+                d["train"] = TrainConfig.from_dict(d["train"])
+            except ValueError as e:
+                raise ValueError(f"train.{e}") from None
         return cls(**d)
 
     @classmethod
@@ -361,7 +368,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc malloc.h: mallopt parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _fix_heap_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds for the rest of the process.
+
+    glibc raises both with the largest block freed so far, so whether the
+    100 KiB-4 MiB numpy temporaries of a step are reused from the heap, or
+    unmapped or trimmed and faulted in again on every allocation, depends on
+    the heap layout that earlier calls in the process left behind. Fixed
+    thresholds (the dynamic ones a 4 MiB block would set) keep them on the
+    heap whatever that layout is. No-op where there is no glibc `mallopt`.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
 def main(argv=None) -> int:
+    _fix_heap_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,10 +20,10 @@ __all__ = ["MlpModel", "SgdOptimizer", "save_checkpoint", "load_checkpoint"]
 class MlpModel:
     """Fully connected ReLU network producing raw logits.
 
-    Attributes:
-        layer_sizes: [D_in, H_1, ..., K]
-        weights: per-layer (fan_in, fan_out) matrices
-        biases: per-layer (fan_out,) vectors
+    All parameters live in one contiguous float64 vector `theta`, laid out
+    as `W0.ravel(), b0, W1.ravel(), b1, ...` for `layer_sizes` [D_in, ..., K].
+    `weights` ((fan_in, fan_out) each) and `biases` ((fan_out,) each) are
+    read-only tuples of views into it: write in place, `m.weights[0][...] = W`.
     """
 
     def __init__(self, layer_sizes, seed: int = 0, init: bool = True):
@@ -34,18 +34,24 @@ class MlpModel:
             raise ValueError(f"bad layer sizes {layer_sizes}")
         self.layer_sizes = layer_sizes
         self.seed = seed
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        rng = np.random.default_rng(seed)
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            if init:
-                bound = np.sqrt(6.0 / fan_in)
-                W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            else:
-                W = np.zeros((fan_in, fan_out))
-            self.weights.append(W)
-            self.biases.append(np.zeros(fan_out))
+        self.theta = np.zeros(sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:])))
+        self.weights, self.biases = self._views(self.theta)
+        if init:
+            rng = np.random.default_rng(seed)
+            for W in self.weights:
+                bound = np.sqrt(6.0 / W.shape[0])
+                W[...] = rng.uniform(-bound, bound, size=W.shape)
         self._cache = None
+
+    def _views(self, flat: np.ndarray):
+        weights, biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
+        return tuple(weights), tuple(biases)
 
     @property
     def num_classes(self) -> int:
@@ -78,12 +84,13 @@ class MlpModel:
         logits = activations[-1]
         return logits[0] if single else logits
 
-    def backward(self, grad_logits: np.ndarray):
+    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Backpropagate a logit gradient from the most recent `forward`.
 
         `grad_logits` has the logits' shape ((K,) or (n, K)); the result is
-        a list of (dW, db) pairs summed over the batch. Pass the gradient
-        already divided by the batch size to get mean-reduction gradients.
+        one flat vector in `theta`'s layout, summed over the batch. Pass the
+        gradient already divided by the batch size to get mean-reduction
+        gradients.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward (no cached activations)")
@@ -93,69 +100,60 @@ class MlpModel:
             g = g[None, :]
         if g.shape != pre_acts[-1].shape:
             raise ValueError(f"grad_logits shape {grad_logits.shape} does not match cached logits")
-        grads = [None] * len(self.weights)
+        grad = np.empty_like(self.theta)
+        grad_weights, grad_biases = self._views(grad)
         for li in range(len(self.weights) - 1, -1, -1):
-            a_prev = activations[li]
-            grads[li] = (a_prev.T @ g, g.sum(axis=0))
+            grad_weights[li][...] = activations[li].T @ g
+            grad_biases[li][...] = g.sum(axis=0)
             if li > 0:
                 g = (g @ self.weights[li].T) * (pre_acts[li - 1] > 0)
-        return grads
+        return grad
 
     def copy(self) -> "MlpModel":
         clone = MlpModel(self.layer_sizes, seed=self.seed, init=False)
-        clone.weights = [W.copy() for W in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.theta[...] = self.theta
         return clone
 
     def params_flat(self) -> np.ndarray:
-        """All parameters concatenated into one vector (copy)."""
-        parts = []
-        for W, b in zip(self.weights, self.biases):
-            parts.append(W.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        """All parameters as one vector with `theta`'s layout (copy)."""
+        return self.theta.copy()
 
     def set_params_flat(self, vec: np.ndarray) -> None:
-        offset = 0
-        for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[li] = vec[offset : offset + W.size].reshape(W.shape).copy()
-            offset += W.size
-            self.biases[li] = vec[offset : offset + b.size].copy()
-            offset += b.size
-        if offset != vec.size:
-            raise ValueError(f"parameter vector size {vec.size}, expected {offset}")
+        """Overwrite `theta` in place; a wrongly shaped `vec` changes nothing."""
+        if np.shape(vec) != self.theta.shape:
+            raise ValueError(f"parameter vector shape {np.shape(vec)}, expected {self.theta.shape}")
+        self.theta[...] = vec
 
 
 class SgdOptimizer:
     """SGD with classical momentum and L2 weight decay folded into the gradient.
 
+    `step` updates `model.theta` in place from the flat gradient of
+    `MlpModel.backward`, with one velocity vector `v` in the same layout:
     v <- momentum * v + grad + weight_decay * theta
     theta <- theta - lr * v
     """
 
     def __init__(self, model: MlpModel, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4):
-        if not lr > 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
+        self.check_hyperparameters(lr, momentum, weight_decay)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.vel = [
-            (np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)
-        ]
+        self.vel = np.zeros_like(model.theta)
 
-    def step(self, model: MlpModel, grads) -> None:
-        for li, (gW, gb) in enumerate(grads):
-            vW, vb = self.vel[li]
-            vW *= self.momentum
-            vW += gW + self.weight_decay * model.weights[li]
-            vb *= self.momentum
-            vb += gb + self.weight_decay * model.biases[li]
-            model.weights[li] -= self.lr * vW
-            model.biases[li] -= self.lr * vb
+    @staticmethod
+    def check_hyperparameters(lr: float, momentum: float, weight_decay: float) -> None:
+        if not lr > 0:
+            raise ValueError(f"lr must be positive, got {lr}")
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        if not weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+
+    def step(self, model: MlpModel, grad: np.ndarray) -> None:
+        self.vel *= self.momentum
+        self.vel += grad + self.weight_decay * model.theta
+        model.theta -= self.lr * self.vel
 
 
 def save_checkpoint(model: MlpModel, path: str) -> None:
@@ -187,6 +185,8 @@ def load_checkpoint(path: str) -> MlpModel:
     if doc.get("format") != "labo-mlp-checkpoint-v1":
         raise ValueError(f"not a model checkpoint: {path}")
     model = MlpModel(doc["layer_sizes"], seed=doc["seed"], init=False)
+    if len(doc["layers"]) != len(model.weights):
+        raise ValueError(f"checkpoint has {len(doc['layers'])} layers, layer_sizes need {len(model.weights)}: {path}")
     for li, layer in enumerate(doc["layers"]):
         W = np.array(layer["weight"], dtype=np.float64)
         b = np.array(layer["bias"], dtype=np.float64)
@@ -194,6 +194,6 @@ def load_checkpoint(path: str) -> MlpModel:
             raise ValueError(f"checkpoint layer {li} shape mismatch in {path}")
         if W.shape != model.weights[li].shape or b.shape != model.biases[li].shape:
             raise ValueError(f"checkpoint layer {li} does not match architecture in {path}")
-        model.weights[li] = W
-        model.biases[li] = b
+        model.weights[li][...] = W
+        model.biases[li][...] = b
     return model

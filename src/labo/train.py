@@ -72,6 +72,7 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.beta_cp < 0:
             raise ValueError("beta_cp must be >= 0")
+        SgdOptimizer.check_hyperparameters(self.lr, self.momentum, self.weight_decay)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -82,7 +83,10 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
         if "smoothing" in d and isinstance(d["smoothing"], dict):
-            d["smoothing"] = SmoothingConfig.from_dict(d["smoothing"])
+            try:
+                d["smoothing"] = SmoothingConfig.from_dict(d["smoothing"])
+            except ValueError as e:
+                raise ValueError(f"smoothing.{e}") from None
         return cls(**d)
 
 
@@ -172,7 +176,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
     reports: list[EpochReport] = []
     window_losses: list[float] = []
     best_acc = -1.0
-    best_params = None
+    best_model = None
 
     for t in range(cfg.steps):
         if pos + cfg.batch_size > order.size:
@@ -194,9 +198,8 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
             raise FloatingPointError(f"non-finite training loss at step {t}")
         window_losses.append(batch_loss)
 
-        grads = model.backward(grad)
-        optimizer.step(model, grads)
-        if not all(np.all(np.isfinite(W)) for W in model.weights):
+        optimizer.step(model, model.backward(grad))
+        if not np.isfinite(model.theta).all():
             raise FloatingPointError(f"non-finite parameters after step {t}")
 
         if step_callback is not None:
@@ -217,11 +220,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
             window_losses = []
             if ev.accuracy > best_acc:
                 best_acc = ev.accuracy
-                best_params = model.params_flat()
-
-    best_model = model.copy()
-    if best_params is not None:
-        best_model.set_params_flat(best_params)
+                best_model = model.copy()
     return best_model, reports
 
 

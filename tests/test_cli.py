@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,6 +186,83 @@ class TestConfigPreflight:
         err = capsys.readouterr().err
         assert "teacher_checkpoint" in err and "3 classes" in err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "section, name, value, named",
+        [
+            ("train", "steps", 0, "train.steps must be >= 1"),
+            ("train", "lr", 0, "train.lr"),
+            ("train", "momentum", 1.0, "train.momentum"),
+            ("train", "weight_decay", -0.1, "train.weight_decay"),
+            ("smoothing", "mode", "uniform_ls", "train.smoothing.mode must be one of"),
+            (None, "hidden", [0], "hidden"),
+            (None, "hidden", "abc", "hidden"),
+            (None, "seeds", ["x"], "seeds"),
+        ],
+        ids=["steps", "lr", "momentum", "weight_decay", "smoothing.mode", "hidden-zero", "hidden-str", "seeds"],
+    )
+    def test_bad_field_is_named_before_any_run(self, tmp_path, capsys, section, name, value, named):
+        doc = json.loads(open(small_config(tmp_path)).read())
+        target = {"train": doc["train"], "smoothing": doc["train"]["smoothing"], None: doc}[section]
+        target[name] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_teacher_rejects_bad_lr(self, tmp_path, capsys):
+        doc = json.loads(open(small_config(tmp_path)).read())
+        doc["train"]["lr"] = 0
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["teacher", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+        assert "train.lr must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_with_missing_layer(self, tmp_path, capsys):
+        ckpt = tmp_path / "cut.checkpoint.json"
+        save_checkpoint(MlpModel([2, 8, 3], seed=0), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        doc["layers"] = doc["layers"][:1]
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["hist", "--checkpoint", str(ckpt), "--config", small_config(tmp_path), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "layers" in err
+        assert not out.exists()
+
+
+# Allocates and frees two 256 KiB arrays 50 times after one `main` call and
+# prints the page faults this took; they are 0 when the freed blocks are
+# reused from the heap rather than unmapped or trimmed and faulted in again.
+HEAP_REUSE_SCRIPT = """
+import resource
+import numpy as np
+from labo.cli import main
+assert main(["smooth", "--logits", "2,1,0"]) == 0
+a, b = np.ones((128, 64)), np.ones((64, 256))
+for _ in range(5):
+    np.maximum(a @ b, 0.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    np.maximum(a @ b, 0.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt thresholds")
+def test_step_sized_temporaries_stay_on_the_heap():
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_REUSE_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) == 0
 
 
 class TestSmoothCommand:

@@ -28,8 +28,9 @@ def fd_param_grads(model, f, h=1e-5):
     return g
 
 
-def flatten_grads(grads):
-    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+def views_flat(model):
+    """The weight and bias views concatenated in the documented layout."""
+    return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in zip(model.weights, model.biases)])
 
 
 class TestForward:
@@ -41,7 +42,7 @@ class TestForward:
 
     def test_identity_single_layer(self):
         m = MlpModel([3, 3], seed=0, init=False)
-        m.weights[0] = np.eye(3)
+        m.weights[0][...] = np.eye(3)
         x = np.array([0.3, -1.2, 2.0])
         np.testing.assert_array_equal(m.forward(x), x)
 
@@ -74,9 +75,8 @@ class TestBackward:
     def test_zero_gradient_propagates_to_zero(self):
         m = MlpModel([2, 8, 3], seed=3)
         m.forward(np.array([0.5, -0.5]))
-        grads = m.backward(np.zeros(3))
-        for gW, gb in grads:
-            assert not gW.any() and not gb.any()
+        grad = m.backward(np.zeros(3))
+        assert grad.shape == m.theta.shape and not grad.any()
 
     def test_requires_forward_cache(self):
         m = MlpModel([2, 4, 3], seed=0)
@@ -94,9 +94,7 @@ class TestBackward:
         first = m.backward(g1)
         m.forward(x)
         second = m.backward(g2)
-        for (cW, cb), (aW, ab), (bW, bb) in zip(combined, first, second):
-            np.testing.assert_allclose(cW, aW + bW, atol=1e-10)
-            np.testing.assert_allclose(cb, ab + bb, atol=1e-10)
+        np.testing.assert_allclose(combined, first + second, atol=1e-10)
 
     @pytest.mark.parametrize("arch", [[2, 8, 3], [4, 6, 6, 5]])
     def test_finite_difference_gate(self, arch):
@@ -109,7 +107,7 @@ class TestBackward:
 
         fd = fd_param_grads(m, lambda: smoothed_ce(label, m.forward(x)))
         z = m.forward(x)
-        analytic = flatten_grads(m.backward(grad_wrt_logits(label, z)))
+        analytic = m.backward(grad_wrt_logits(label, z))
         offset = 0
         for W, b in zip(m.weights, m.biases):
             for size in (W.size, b.size):
@@ -126,27 +124,18 @@ class TestBackward:
         G = rng.normal(size=(5, 4)) / 5.0
         Z = m.forward(X)
         batch = m.backward(G)
-        acc = None
+        acc = np.zeros_like(batch)
         for i in range(5):
             m.forward(X[i])
-            inst = m.backward(G[i])
-            if acc is None:
-                acc = [[gW.copy(), gb.copy()] for gW, gb in inst]
-            else:
-                for a, (gW, gb) in zip(acc, inst):
-                    a[0] += gW
-                    a[1] += gb
-        for (bW, bb), (aW, ab) in zip(batch, acc):
-            np.testing.assert_allclose(bW, aW, atol=1e-12)
-            np.testing.assert_allclose(bb, ab, atol=1e-12)
+            acc += m.backward(G[i])
+        np.testing.assert_allclose(batch, acc, atol=1e-12)
 
 
 class TestSgdStep:
     def test_vanilla_step(self):
         m = MlpModel([2, 2], seed=0, init=False)
         opt = SgdOptimizer(m, lr=0.5, momentum=0.0, weight_decay=0.0)
-        grads = [(np.ones((2, 2)), np.ones(2))]
-        opt.step(m, grads)
+        opt.step(m, np.ones(6))
         np.testing.assert_allclose(m.weights[0], -0.5 * np.ones((2, 2)), atol=1e-15)
         np.testing.assert_allclose(m.biases[0], -0.5 * np.ones(2), atol=1e-15)
 
@@ -154,14 +143,14 @@ class TestSgdStep:
         m = MlpModel([2, 3], seed=9)
         before = m.params_flat()
         opt = SgdOptimizer(m, lr=0.1, momentum=0.9, weight_decay=0.0)
-        opt.step(m, [(np.zeros((2, 3)), np.zeros(3))])
+        opt.step(m, np.zeros(9))
         np.testing.assert_array_equal(m.params_flat(), before)
 
     def test_momentum_recursion(self):
         """Unit gradient twice at momentum 0.9: steps of 0.1 then 0.19."""
         m = MlpModel([1, 2], seed=0, init=False)
         opt = SgdOptimizer(m, lr=0.1, momentum=0.9, weight_decay=0.0)
-        g = [(np.ones((1, 2)), np.zeros(2))]
+        g = np.array([1.0, 1.0, 0.0, 0.0])  # W0 = ones, b0 = zeros
         opt.step(m, g)
         np.testing.assert_allclose(m.weights[0], -0.1 * np.ones((1, 2)), atol=1e-15)
         opt.step(m, g)
@@ -171,8 +160,34 @@ class TestSgdStep:
         m = MlpModel([1, 2], seed=0, init=False)
         m.weights[0][:] = 2.0
         opt = SgdOptimizer(m, lr=0.1, momentum=0.0, weight_decay=0.5)
-        opt.step(m, [(np.zeros((1, 2)), np.zeros(2))])
+        opt.step(m, np.zeros(4))
         np.testing.assert_allclose(m.weights[0], 2.0 - 0.1 * (0.5 * 2.0), atol=1e-15)
+
+    def test_matches_per_layer_reference_bit_for_bit(self):
+        """Flat SGD equals the per-layer update on every weight and bias."""
+        m = MlpModel([3, 5, 4], seed=2)
+        rng = np.random.default_rng(42)
+        opt = SgdOptimizer(m, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        ref = [(W.copy(), b.copy()) for W, b in zip(m.weights, m.biases)]
+        vel = [(np.zeros_like(W), np.zeros_like(b)) for W, b in ref]
+        for _ in range(5):
+            m.forward(rng.normal(size=(7, 3)))
+            grad = m.backward(rng.normal(size=(7, 4)) / 7)
+            opt.step(m, grad)
+            offset = 0
+            for (W, b), (vW, vb) in zip(ref, vel):
+                gW = grad[offset : offset + W.size].reshape(W.shape)
+                gb = grad[offset + W.size : offset + W.size + b.size]
+                offset += W.size + b.size
+                vW *= 0.9
+                vW += gW + 5e-4 * W
+                vb *= 0.9
+                vb += gb + 5e-4 * b
+                W -= 0.1 * vW
+                b -= 0.1 * vb
+        for (W, b), mW, mb in zip(ref, m.weights, m.biases):
+            np.testing.assert_array_equal(mW, W)
+            np.testing.assert_array_equal(mb, b)
 
     def test_rejects_bad_hyperparameters(self):
         m = MlpModel([2, 2], seed=0)
@@ -188,8 +203,8 @@ class TestCheckpoint:
     def test_round_trip_is_value_exact(self, tmp_path):
         m = MlpModel([3, 7, 4], seed=123)
         # make values awkward on purpose
-        m.weights[0] *= np.pi
-        m.biases[1] += 1e-17
+        m.weights[0][...] *= np.pi
+        m.biases[1][...] += 1e-17
         path = tmp_path / "model.json"
         save_checkpoint(m, str(path))
         loaded = load_checkpoint(str(path))
@@ -205,6 +220,22 @@ class TestCheckpoint:
         path.write_text('{"hello": 1}')
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("change", ["drop", "extra"])
+    def test_rejects_wrong_layer_count(self, tmp_path, change):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(MlpModel([2, 8, 3], seed=0), str(path))
+        doc = json.loads(path.read_text())
+        if change == "drop":
+            doc["layers"] = doc["layers"][:1]
+        else:
+            doc["layers"].append(doc["layers"][-1])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="layers") as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
 
     def test_rejects_tampered_shapes(self, tmp_path):
         import json
@@ -230,3 +261,43 @@ class TestDeterminism:
         b = a.copy()
         b.weights[0][0, 0] += 1.0
         assert a.weights[0][0, 0] != b.weights[0][0, 0]
+
+
+class TestFlatParameters:
+    """`theta` holds every parameter; `weights`/`biases` are views into it."""
+
+    def test_views_follow_sgd_checkpoint_and_copy(self, tmp_path):
+        m = MlpModel([3, 5, 4], seed=4)
+        m.forward(np.ones((2, 3)))
+        SgdOptimizer(m, lr=0.1).step(m, m.backward(np.ones((2, 4))))
+        np.testing.assert_array_equal(m.params_flat(), views_flat(m))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, str(path))
+        loaded = load_checkpoint(str(path))
+        np.testing.assert_array_equal(loaded.params_flat(), views_flat(loaded))
+        np.testing.assert_array_equal(loaded.params_flat(), m.params_flat())
+        clone = m.copy()
+        np.testing.assert_array_equal(clone.params_flat(), views_flat(clone))
+        np.testing.assert_array_equal(clone.params_flat(), m.params_flat())
+
+    def test_views_cannot_be_rebound(self):
+        m = MlpModel([3, 3], seed=0)
+        with pytest.raises(TypeError):
+            m.weights[0] = np.eye(3)
+        with pytest.raises(TypeError):
+            m.biases[0] = np.zeros(3)
+
+    @pytest.mark.parametrize("size", [0, 25, 27])
+    def test_wrongly_sized_vector_changes_nothing(self, size):
+        m = MlpModel([2, 5, 3], seed=1)  # 26 parameters
+        before = m.params_flat()
+        with pytest.raises(ValueError, match="shape"):
+            m.set_params_flat(np.full(size, 7.0))
+        np.testing.assert_array_equal(m.theta, before)
+
+    def test_copy_shares_no_memory(self):
+        a = MlpModel([2, 4, 3], seed=1)
+        b = a.copy()
+        assert not np.shares_memory(a.theta, b.theta)
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+            assert not np.shares_memory(x, y)
