@@ -42,7 +42,7 @@ def run(argv=None):
             lr=0.1,
             seed=args.seed,
             mode=mode,
-            smoothing=SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=1.25),
+            smoothing=SmoothingConfig(alpha_rule="adaptive", rho=0.5, tau=1.25),
             eval_every=200,
         )
         model = MlpModel([2, 32, 3], seed=args.seed)

@@ -67,17 +67,6 @@ class ExperimentConfig:
             if not isinstance(values, list) or not all(type(v) is int and v >= low for v in values):
                 raise ValueError(f"{name} must be a list of integers >= {low}, got {values!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": dict(self.dataset),
-            "hidden": list(self.hidden),
-            "train": self.train.to_dict(),
-            "modes": list(self.modes),
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-            "teacher_checkpoint": self.teacher_checkpoint,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
@@ -92,9 +81,6 @@ class ExperimentConfig:
     def load(cls, path: str) -> "ExperimentConfig":
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-    def save(self, path: str) -> None:
-        write_json(path, self.to_dict())
 
 
 def build_dataset(spec: dict) -> Dataset:
@@ -178,13 +164,6 @@ def _shape_mismatch(what: str, model: MlpModel, data: Dataset) -> str | None:
     )
 
 
-def _run_cfg(cfg: ExperimentConfig, mode: str, seed: int) -> TrainConfig:
-    # warm-up belongs to the two-stage method; baselines use their own
-    # labels from step 0
-    warmup = cfg.train.warmup if mode == "labo" else 0
-    return replace(cfg.train, mode=mode, seed=seed, warmup=warmup)
-
-
 def cmd_train(args) -> int:
     try:
         cfg, data = _load_experiment(args.config)
@@ -212,7 +191,7 @@ def cmd_train(args) -> int:
         for seed in cfg.seeds:
             run_name = f"{mode}_seed{seed}"
             try:
-                run_cfg = _run_cfg(cfg, mode, seed)
+                run_cfg = replace(cfg.train, mode=mode, seed=seed)
                 model = MlpModel([data.dim, *cfg.hidden, data.num_classes], seed=seed)
                 best, reports = run_training(model, data, run_cfg, teacher=teacher)
                 write_reports_csv(reports, os.path.join(out_dir, f"{run_name}.csv"))
@@ -331,13 +310,20 @@ def cmd_hist(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="labo", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the numeric verification suite")
     p.add_argument("--quick", action="store_true", help="smaller sweeps (about 10x faster)")
-    p.add_argument("--seed", type=int, default=VERIFY_SEED)
+    p.add_argument("--seed", type=non_negative_int, default=VERIFY_SEED)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("train", help="run a mode x seed comparison from a config")
@@ -348,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("teacher", help="train and save a teacher checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.set_defaults(fn=cmd_teacher)
 
     p = sub.add_parser("smooth", help="inspect smoothing for one logit vector")

@@ -182,18 +182,21 @@ def save_checkpoint(model: MlpModel, path: str) -> None:
 def load_checkpoint(path: str) -> MlpModel:
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != "labo-mlp-checkpoint-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "labo-mlp-checkpoint-v1":
         raise ValueError(f"not a model checkpoint: {path}")
-    model = MlpModel(doc["layer_sizes"], seed=doc["seed"], init=False)
-    if len(doc["layers"]) != len(model.weights):
-        raise ValueError(f"checkpoint has {len(doc['layers'])} layers, layer_sizes need {len(model.weights)}: {path}")
-    for li, layer in enumerate(doc["layers"]):
-        W = np.array(layer["weight"], dtype=np.float64)
-        b = np.array(layer["bias"], dtype=np.float64)
-        if list(W.shape) != layer["weight_shape"] or list(b.shape) != layer["bias_shape"]:
-            raise ValueError(f"checkpoint layer {li} shape mismatch in {path}")
-        if W.shape != model.weights[li].shape or b.shape != model.biases[li].shape:
-            raise ValueError(f"checkpoint layer {li} does not match architecture in {path}")
-        model.weights[li][...] = W
-        model.biases[li][...] = b
+    try:
+        model = MlpModel(doc["layer_sizes"], seed=doc["seed"], init=False)
+        if len(doc["layers"]) != len(model.weights):
+            raise ValueError(f"checkpoint has {len(doc['layers'])} layers, layer_sizes need {len(model.weights)}: {path}")
+        for li, layer in enumerate(doc["layers"]):
+            W = np.array(layer["weight"], dtype=np.float64)
+            b = np.array(layer["bias"], dtype=np.float64)
+            if list(W.shape) != layer["weight_shape"] or list(b.shape) != layer["bias_shape"]:
+                raise ValueError(f"checkpoint layer {li} shape mismatch in {path}")
+            if W.shape != model.weights[li].shape or b.shape != model.biases[li].shape:
+                raise ValueError(f"checkpoint layer {li} does not match architecture in {path}")
+            model.weights[li][...] = W
+            model.biases[li][...] = b
+    except KeyError as e:
+        raise ValueError(f"checkpoint is missing key {e}: {path}") from None
     return model

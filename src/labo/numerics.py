@@ -20,9 +20,7 @@ __all__ = [
     "tempered_softmax",
     "entropy",
     "kl_div",
-    "softmax_rows",
     "log_softmax_rows",
-    "entropy_rows",
 ]
 
 # |sum(p) - 1| allowed for a probability vector
@@ -119,20 +117,10 @@ def kl_div(p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Row-wise variants over (n, K) batches; same arithmetic as the 1-D kernels.
+# Row-wise variant over (n, K) batches; same arithmetic as `log_softmax`.
 # ---------------------------------------------------------------------------
-
-
-def softmax_rows(Z: np.ndarray) -> np.ndarray:
-    e = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def log_softmax_rows(Z: np.ndarray) -> np.ndarray:
     shifted = Z - Z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def entropy_rows(P: np.ndarray) -> np.ndarray:
-    logp = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-    return -(P * logp).sum(axis=1)

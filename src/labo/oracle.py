@@ -10,7 +10,7 @@ in the KL geometry), which keeps iterates strictly inside the simplex and
 never touches the closed form, so it can serve as an oracle for it.
 
 With step size c/beta the log-domain iteration contracts toward the
-optimum with factor (1 - c) per step, so the default c = 0.1 converges to
+optimum with factor (1 - c) per step, so the c = 0.1 used here converges to
 double-precision tolerance in a few hundred iterations for any beta.
 """
 
@@ -65,11 +65,10 @@ def solve_inner_numeric(
     tol: float = 1e-10,
     max_iter: int = 100_000,
     init=None,
-    step_scale: float = 0.1,
 ) -> SimplexSolverReport:
     """Minimize the inner objective over the simplex by exponentiated gradient.
 
-    Update: x <- normalize(x * exp(-lr * grad f(x))) with lr = step_scale/beta.
+    Update: x <- normalize(x * exp(-lr * grad f(x))) with lr = 0.1/beta.
     Converged when successive iterates differ by at most `tol` in L-infinity.
     """
     p = check_prob_vec(p)
@@ -83,7 +82,7 @@ def solve_inner_numeric(
     x = uniform(p.shape[0]) if init is None else check_prob_vec(init).copy()
     if np.any(x == 0):
         raise ValueError("initial point must be strictly positive")
-    lr = step_scale / beta
+    lr = 0.1 / beta
 
     converged = False
     iterations = 0

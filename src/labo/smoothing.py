@@ -13,7 +13,7 @@ tempered output p^(1/tau) / sum(p^(1/tau)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +48,12 @@ class SmoothingConfig:
     the mixing weight (and thereby the KL weight).
     """
 
-    mode: str = "labo"
     alpha_rule: str = "fixed"
     alpha: float = 0.1
     rho: float = 0.5
     tau: float = 1.25
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.alpha_rule not in ALPHA_RULES:
             raise ValueError(f"alpha_rule must be one of {ALPHA_RULES}, got {self.alpha_rule!r}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -66,11 +63,14 @@ class SmoothingConfig:
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "SmoothingConfig":
+        # config files may still name a mode here; the run's mode is
+        # TrainConfig.mode, so the key is checked and then dropped
+        d = dict(d)
+        mode = d.pop("mode", "labo")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         return cls(**d)
 
 
@@ -152,21 +152,23 @@ def adaptive_alpha(p, rho: float) -> float:
     return float((h_u - rho * numerics.entropy(p)) / h_u)
 
 
-def build_label(k: int, z, cfg: SmoothingConfig, teacher_p=None) -> SmoothedLabel:
-    """Construct the training label for one instance under `cfg`.
+def build_label(k: int, z, mode: str, cfg: SmoothingConfig, teacher_p=None) -> SmoothedLabel:
+    """Construct the training label for one instance in `mode` under `cfg`.
 
     The returned label is a plain constant: it holds freshly allocated
     arrays and is never differentiated through, matching the two-stage
     scheme where the smoothing distribution is recomputed from the current
     forward pass and then held fixed for the parameter update.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     z = check_logits(z)
     num_classes = z.shape[0]
-    if cfg.mode == "none":
+    if mode == "none":
         return SmoothedLabel(target=k, alpha_used=0.0, dist=onehot(k, num_classes))
-    if cfg.mode == "ls":
+    if mode == "ls":
         return uniform_smooth(k, num_classes, cfg.alpha)
-    if cfg.mode == "kd":
+    if mode == "kd":
         if teacher_p is None:
             raise ValueError("kd mode requires teacher_p")
         return mix_label(k, teacher_p, cfg.alpha)

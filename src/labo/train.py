@@ -1,7 +1,7 @@
 """Two-stage training loop plus baseline regularizers and diagnostics.
 
 Each step: sample a mini-batch, run the forward pass, build training labels
-(during warm-up: uniform label smoothing; afterwards: whatever the
+(during the labo warm-up: uniform label smoothing; otherwise: whatever the
 configured mode prescribes), take the mean logit gradient with the labels
 held fixed, backpropagate, and apply SGD. Labels are rebuilt from the
 current forward pass every step; nothing about them persists.
@@ -13,7 +13,7 @@ histogram over the evaluation split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0 <= self.warmup <= self.steps:
             raise ValueError(f"warmup must be in [0, steps], got {self.warmup}")
         if self.batch_size < 1:
@@ -73,11 +75,6 @@ class TrainConfig:
         if self.beta_cp < 0:
             raise ValueError("beta_cp must be >= 0")
         SgdOptimizer.check_hyperparameters(self.lr, self.momentum, self.weight_decay)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["smoothing"] = self.smoothing.to_dict()
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -138,13 +135,14 @@ def evaluate(model: MlpModel, data: Dataset, split: str = "val") -> EvalResult:
     X, y = data.split_arrays(split)
     if X.shape[0] == 0:
         raise ValueError(f"split {split!r} is empty")
-    P = numerics.softmax_rows(model.forward(X))
+    logP = numerics.log_softmax_rows(model.forward(X))
+    P = np.exp(logP)
     predictions = P.argmax(axis=1)
     confidences = P.max(axis=1)
     return EvalResult(
         accuracy=float((predictions == y).mean()),
         mean_confidence=float(confidences.mean()),
-        mean_entropy=float(numerics.entropy_rows(P).mean()),
+        mean_entropy=float(-(P * logP).sum(axis=1).mean()),
         histogram=ConfidenceHistogram.from_confidences(confidences),
     )
 
@@ -152,8 +150,9 @@ def evaluate(model: MlpModel, data: Dataset, split: str = "val") -> EvalResult:
 def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None):
     """Train `model` in place and return (best model, reports).
 
-    Steps t < cfg.warmup use uniform label smoothing (alpha 0.1); from
-    t >= cfg.warmup the configured mode takes over. Batches are drawn by
+    In labo mode, steps t < cfg.warmup use uniform label smoothing (alpha
+    0.1) and the closed-form labels take over from t >= cfg.warmup; every
+    other mode trains on its own labels from step 0. Batches are drawn by
     shuffling the training indices once per epoch (full batches only, so a
     short final remainder rolls into the next epoch's shuffle). The model
     returned is the checkpoint with the best validation accuracy.
@@ -166,6 +165,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
     optimizer = SgdOptimizer(model, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     warmup_cfg = SmoothingConfig(alpha=WARMUP_ALPHA)
+    warmup = cfg.warmup if cfg.mode == "labo" else 0
 
     train_idx = data.splits["train"]
     if train_idx.size < cfg.batch_size:
@@ -189,7 +189,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
         ks = data.labels[batch]
         Z = model.forward(X)
 
-        mode, smoothing = ("ls", warmup_cfg) if t < cfg.warmup else (cfg.mode, cfg.smoothing)
+        mode, smoothing = ("ls", warmup_cfg) if t < warmup else (cfg.mode, cfg.smoothing)
         teacher_logP = numerics.log_softmax_rows(teacher.forward(X)) if mode == "kd" else None
         _, alphas, losses, grad = batch_objective(ks, Z, mode, smoothing, cfg.beta_cp, teacher_logP)
 
@@ -226,7 +226,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
 
 def train_teacher(data: Dataset, cfg: TrainConfig, hidden: int = 64, checkpoint_path=None):
     """Train a wider MLP with uniform label smoothing for use as a teacher."""
-    teacher_cfg = replace(cfg, mode="ls", warmup=0)
+    teacher_cfg = replace(cfg, mode="ls")
     model = MlpModel([data.dim, hidden, data.num_classes], seed=cfg.seed)
     best, reports = run_training(model, data, teacher_cfg)
     if checkpoint_path is not None:

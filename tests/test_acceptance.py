@@ -56,7 +56,7 @@ def comparison(blobs):
                 lr=0.1,
                 seed=seed,
                 mode=mode,
-                smoothing=SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=1.25, alpha=0.1),
+                smoothing=SmoothingConfig(alpha_rule="adaptive", rho=0.5, tau=1.25, alpha=0.1),
                 eval_every=200,
             )
             model = MlpModel([2, 32, 3], seed=seed)
@@ -252,7 +252,7 @@ def test_criterion_8_warmup_equivalence(blobs):
         batch_size=128,
         lr=0.1,
         seed=21,
-        smoothing=SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=1.25, alpha=0.1),
+        smoothing=SmoothingConfig(alpha_rule="adaptive", rho=0.5, tau=1.25, alpha=0.1),
         eval_every=200,
     )
     snapshot = {}

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import labo.smoothing as smoothing_mod
-from labo.cli import ExperimentConfig, build_dataset, main
+from labo.cli import ExperimentConfig, _load_experiment, build_dataset, main
 from labo.model import MlpModel, save_checkpoint
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TEMPERED_210_TAU2 = [0.50648039105565403, 0.3071958857184984, 0.18632372322584758]
 
 
@@ -198,8 +199,9 @@ class TestConfigPreflight:
             (None, "hidden", [0], "hidden"),
             (None, "hidden", "abc", "hidden"),
             (None, "seeds", ["x"], "seeds"),
+            ("train", "seed", -1, "train.seed"),
         ],
-        ids=["steps", "lr", "momentum", "weight_decay", "smoothing.mode", "hidden-zero", "hidden-str", "seeds"],
+        ids=["steps", "lr", "momentum", "weight_decay", "smoothing.mode", "hidden-zero", "hidden-str", "seeds", "seed"],
     )
     def test_bad_field_is_named_before_any_run(self, tmp_path, capsys, section, name, value, named):
         doc = json.loads(open(small_config(tmp_path)).read())
@@ -231,6 +233,30 @@ class TestConfigPreflight:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "layers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"format": "labo-mlp-checkpoint-v1", "layer_sizes": [2, 8, 3], "seed": 0}, [1, 2]],
+        ids=["missing-layers", "not-an-object"],
+    )
+    def test_malformed_checkpoint(self, tmp_path, capsys, doc):
+        ckpt = tmp_path / "bad.checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["hist", "--checkpoint", str(ckpt), "--config", small_config(tmp_path), "--out", str(out)]
+        assert main(argv) == 2
+        assert str(ckpt) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "teacher"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--seed", "-1"]
+        if command == "teacher":
+            argv += ["--config", small_config(tmp_path), "--out", str(out)]
+        assert main(argv) == 2
+        assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -317,14 +343,11 @@ class TestHistCommand:
 
 
 class TestExperimentConfig:
-    def test_parse_serialize_parse_is_fixed_point(self, tmp_path):
-        cfg = ExperimentConfig.load(small_config(tmp_path))
-        path = tmp_path / "roundtrip.json"
-        cfg.save(str(path))
-        again = ExperimentConfig.load(str(path))
-        assert again == cfg
-        again.save(str(tmp_path / "twice.json"))
-        assert (tmp_path / "twice.json").read_text() == path.read_text()
+    def test_committed_example_loads(self):
+        cfg, data = _load_experiment(os.path.join(REPO_ROOT, "configs", "blobs_comparison.json"))
+        assert cfg.modes == ["none", "ls", "cp", "labo"]
+        assert cfg.seeds == [1, 2, 3, 4, 5]
+        assert data.num_classes == 3
 
     def test_requires_modes_and_seeds(self):
         with pytest.raises(ValueError):

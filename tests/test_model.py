@@ -237,6 +237,28 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "key", ["layers", "layer_sizes", "seed", "weight", "bias", "weight_shape", "bias_shape", "whole-document"]
+    )
+    def test_rejects_malformed_documents(self, tmp_path, key):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(MlpModel([2, 8, 3], seed=0), str(path))
+        doc = json.loads(path.read_text())
+        if key == "whole-document":
+            doc = [1, 2]
+        elif key in doc:
+            del doc[key]
+        else:
+            del doc["layers"][1][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
+        if key != "whole-document":
+            assert repr(key) in str(err.value)
+
     def test_rejects_tampered_shapes(self, tmp_path):
         import json
 

@@ -312,7 +312,6 @@ class TestBatchObjective:
         ks = rng.integers(num_classes, size=n)
         teacher_logP = log_softmax_rows(_random_logits(rng, n, num_classes, 10.0**log_scale))
         cfg = SmoothingConfig(
-            mode="none" if mode == "cp" else mode,
             alpha_rule="adaptive" if adaptive else "fixed",
             alpha=alpha,
             rho=rho,
@@ -325,7 +324,7 @@ class TestBatchObjective:
         assert np.all(np.abs(labels.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
         for i in range(n):
             k, z, teacher_p = int(ks[i]), Z[i], np.exp(teacher_logP[i])
-            single = build_label(k, z, cfg, teacher_p=teacher_p)
+            single = build_label(k, z, "none" if mode == "cp" else mode, cfg, teacher_p=teacher_p)
             np.testing.assert_allclose(labels[i], single.dist, rtol=0, atol=1e-14)
             assert alphas[i] == pytest.approx(single.alpha_used, rel=0, abs=1e-14)
             ref = _reference_loss(mode, k, z, cfg, single, teacher_p, beta_cp)

@@ -139,6 +139,28 @@ class TestVerifyClosedForm:
             oracle_mod.verify_closed_form([0.7, 0.2, 0.1], 1.0, 2.0)
 
 
+class TestIndependence:
+    def test_oracle_never_calls_the_closed_form(self, monkeypatch):
+        """The solver and the Hessian check still work with every closed-form
+        route (and the tempered softmax behind it) made to raise."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called the closed form")
+
+        for name in ("labo.smoothing.labo_optimal_smoothing", "labo.smoothing.labo_from_logits",
+                     "labo.numerics.tempered_softmax"):
+            monkeypatch.setattr(name, forbidden)
+        rng = np.random.default_rng(7)
+        p = interior_simplex(rng, 5)
+        alpha, beta = 0.6, 1.5
+        expected = p ** (alpha / beta)
+        expected /= expected.sum()
+        report = solve_inner_numeric(p, alpha, beta, tol=1e-14)
+        assert report.converged
+        np.testing.assert_allclose(report.argmin, expected, rtol=0, atol=1e-6)
+        assert hessian_check(p, beta) <= 1e-4
+
+
 class TestHessianCheck:
     def test_uniform_case(self):
         p_ls = uniform(4)

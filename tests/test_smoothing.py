@@ -4,6 +4,7 @@ Derived expectations frozen from a 50-digit mpmath evaluation.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,7 +34,14 @@ LABO_LABEL_EX = [0.69344514025515599, 0.19081793297345393, 0.11573692677139008]
 class TestSmoothingConfig:
     def test_defaults(self):
         cfg = SmoothingConfig()
-        assert cfg.mode == "labo" and cfg.tau == 1.25 and cfg.rho == 0.5
+        assert cfg.tau == 1.25 and cfg.rho == 0.5
+
+    def test_holds_only_hyperparameters(self):
+        assert [f.name for f in fields(SmoothingConfig)] == ["alpha_rule", "alpha", "rho", "tau"]
+
+    def test_from_dict_checks_and_drops_a_mode_key(self):
+        cfg = SmoothingConfig.from_dict({"mode": "kd", "alpha": 0.2})
+        assert cfg == SmoothingConfig(alpha=0.2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -49,11 +57,7 @@ class TestSmoothingConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            SmoothingConfig(**kwargs)
-
-    def test_dict_round_trip(self):
-        cfg = SmoothingConfig(mode="ls", alpha=0.2, tau=2.0)
-        assert SmoothingConfig.from_dict(cfg.to_dict()) == cfg
+            SmoothingConfig.from_dict(kwargs)
 
 
 class TestUniformSmooth:
@@ -217,41 +221,46 @@ class TestAdaptiveAlpha:
 
 class TestBuildLabel:
     def test_labo_with_zero_alpha_is_onehot(self):
-        cfg = SmoothingConfig(mode="labo", alpha_rule="fixed", alpha=0.0, tau=1.25)
+        cfg = SmoothingConfig(alpha_rule="fixed", alpha=0.0, tau=1.25)
         for z in ([2.0, 1.0, 0.0], [-3.0, 5.0, 0.1]):
-            label = build_label(1, z, cfg)
+            label = build_label(1, z, "labo", cfg)
             np.testing.assert_array_equal(label.dist, onehot(1, 3))
 
     def test_ls_matches_uniform_smooth(self):
-        cfg = SmoothingConfig(mode="ls", alpha=0.1)
-        label = build_label(2, np.zeros(10), cfg)
+        cfg = SmoothingConfig(alpha=0.1)
+        label = build_label(2, np.zeros(10), "ls", cfg)
         np.testing.assert_allclose(label.dist, uniform_smooth(2, 10, 0.1).dist, atol=1e-15)
 
     def test_labo_adaptive_derived_example(self):
-        cfg = SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=2.0)
-        label = build_label(0, [2.0, 1.0, 0.0], cfg)
+        cfg = SmoothingConfig(alpha_rule="adaptive", rho=0.5, tau=2.0)
+        label = build_label(0, [2.0, 1.0, 0.0], "labo", cfg)
         assert label.alpha_used == pytest.approx(ADAPTIVE_SM210_RHO05, abs=1e-12)
         np.testing.assert_allclose(label.dist, LABO_LABEL_EX, atol=1e-12)
 
     def test_none_mode_ignores_logits(self):
-        cfg = SmoothingConfig(mode="none")
-        label = build_label(1, [9.0, -9.0, 0.0], cfg)
+        cfg = SmoothingConfig()
+        label = build_label(1, [9.0, -9.0, 0.0], "none", cfg)
         np.testing.assert_array_equal(label.dist, onehot(1, 3))
         assert label.alpha_used == 0.0
 
     def test_kd_requires_teacher(self):
-        cfg = SmoothingConfig(mode="kd", alpha=0.5)
+        cfg = SmoothingConfig(alpha=0.5)
         with pytest.raises(ValueError, match="teacher"):
-            build_label(0, [1.0, 0.0], cfg)
-        label = build_label(0, [1.0, 0.0], cfg, teacher_p=[0.8, 0.2])
+            build_label(0, [1.0, 0.0], "kd", cfg)
+        label = build_label(0, [1.0, 0.0], "kd", cfg, teacher_p=[0.8, 0.2])
         np.testing.assert_allclose(label.dist, [0.9, 0.1], atol=1e-15)
 
     def test_returns_fresh_arrays(self):
-        cfg = SmoothingConfig(mode="ls", alpha=0.1)
-        first = build_label(0, [1.0, 0.0, 2.0], cfg)
+        cfg = SmoothingConfig(alpha=0.1)
+        first = build_label(0, [1.0, 0.0, 2.0], "ls", cfg)
         first.dist[0] = 99.0
-        second = build_label(0, [1.0, 0.0, 2.0], cfg)
+        second = build_label(0, [1.0, 0.0, 2.0], "ls", cfg)
         assert second.dist[0] != 99.0
+
+    @pytest.mark.parametrize("mode", ["cp", "bogus"])
+    def test_rejects_modes_without_a_label_rule(self, mode):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            build_label(0, [1.0, 0.0], mode, SmoothingConfig())
 
 
 class TestBuildLabelBatch:
@@ -260,35 +269,36 @@ class TestBuildLabelBatch:
     @pytest.mark.parametrize(
         "cfg",
         [
-            SmoothingConfig(mode="none"),
-            SmoothingConfig(mode="ls", alpha=0.1),
-            SmoothingConfig(mode="kd", alpha=0.4),
-            SmoothingConfig(mode="labo", alpha_rule="fixed", alpha=0.3, tau=1.25),
-            SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=1.25),
+            ("none", SmoothingConfig()),
+            ("ls", SmoothingConfig(alpha=0.1)),
+            ("kd", SmoothingConfig(alpha=0.4)),
+            ("labo", SmoothingConfig(alpha_rule="fixed", alpha=0.3, tau=1.25)),
+            ("labo", SmoothingConfig(alpha_rule="adaptive", rho=0.5, tau=1.25)),
         ],
     )
     def test_rows_match_single_instance_path(self, cfg):
+        mode, cfg = cfg
         rng = np.random.default_rng(42)
         n, num_classes = 16, 5
         Z = rng.normal(0, 3, size=(n, num_classes))
         ks = rng.integers(num_classes, size=n)
         teacher_logP = log_softmax_rows(rng.normal(0, 2, size=(n, num_classes)))
-        dist, alphas, _, _ = batch_objective(ks, Z, cfg.mode, cfg, teacher_logP=teacher_logP)
+        dist, alphas, _, _ = batch_objective(ks, Z, mode, cfg, teacher_logP=teacher_logP)
         assert dist.shape == (n, num_classes) and alphas.shape == (n,)
         for i in range(n):
-            single = build_label(int(ks[i]), Z[i], cfg, teacher_p=np.exp(teacher_logP[i]))
+            single = build_label(int(ks[i]), Z[i], mode, cfg, teacher_p=np.exp(teacher_logP[i]))
             np.testing.assert_allclose(dist[i], single.dist, atol=1e-14)
             assert alphas[i] == pytest.approx(single.alpha_used, abs=1e-14)
 
     def test_kd_requires_teacher(self):
-        cfg = SmoothingConfig(mode="kd")
+        cfg = SmoothingConfig()
         with pytest.raises(ValueError, match="teacher"):
             batch_objective(np.zeros(2, dtype=int), np.zeros((2, 3)), "kd", cfg)
 
     def test_no_state_between_calls(self):
         """Labels are rebuilt from scratch; mutating one batch's output
         cannot leak into the next."""
-        cfg = SmoothingConfig(mode="labo", alpha_rule="adaptive", rho=0.5, tau=1.25)
+        cfg = SmoothingConfig(alpha_rule="adaptive", rho=0.5, tau=1.25)
         ks = np.array([0, 1])
         Z = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 2.0]])
         first = batch_objective(ks, Z, "labo", cfg)
