@@ -29,22 +29,16 @@ from .data import Dataset, gaussian_blobs, load_csv, load_idx
 from .io import atomic_write_text, write_json
 from .model import MlpModel, load_checkpoint, save_checkpoint
 from .objectives import unified_objective
-from .smoothing import adaptive_alpha, labo_from_logits, mix_label
-from .train import (
-    TRAIN_MODES,
-    TrainConfig,
-    evaluate,
-    run_training,
-    train_teacher,
-    write_reports_csv,
-)
+from .schema import DATASET_KINDS, DATASETS, EXPERIMENT, Config, check
+from .smoothing import SmoothingConfig, adaptive_alpha, labo_from_logits, mix_label
+from .train import TrainConfig, evaluate, run_training, train_teacher, write_reports_csv
 from .verify import run_verification, VERIFY_SEED
 
 __all__ = ["ExperimentConfig", "build_dataset", "main", "entrypoint"]
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config, table=EXPERIMENT):
     """One comparison experiment: a dataset, a model, modes, and seeds."""
 
     dataset: dict
@@ -55,50 +49,17 @@ class ExperimentConfig:
     out_dir: str | None = None
     teacher_checkpoint: str | None = None
 
-    def __post_init__(self):
-        if not self.modes:
-            raise ValueError("need at least one mode")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        for mode in self.modes:
-            if mode not in TRAIN_MODES:
-                raise ValueError(f"unknown mode {mode!r}, expected one of {TRAIN_MODES}")
-        for name, values, low in (("hidden", self.hidden, 1), ("seeds", self.seeds, 0)):
-            if not isinstance(values, list) or not all(type(v) is int and v >= low for v in values):
-                raise ValueError(f"{name} must be a list of integers >= {low}, got {values!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "train" in d and isinstance(d["train"], dict):
-            try:
-                d["train"] = TrainConfig.from_dict(d["train"])
-            except ValueError as e:
-                raise ValueError(f"train.{e}") from None
-        return cls(**d)
-
-    @classmethod
-    def load(cls, path: str) -> "ExperimentConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 def build_dataset(spec: dict) -> Dataset:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "blobs":
-        return gaussian_blobs(
-            num_classes=spec.get("num_classes", 3),
-            per_class=spec.get("per_class", 2000),
-            dim=spec.get("dim", 2),
-            std=spec.get("std", 1.0),
-            seed=spec.get("seed", 7),
-        )
-    if kind == "csv":
-        return load_csv(spec["path"], spec["label_column"])
-    if kind == "idx":
-        return load_idx(spec["images"], spec["labels"])
-    raise ValueError(f"unknown dataset kind {kind!r} (expected blobs, csv, or idx)")
+    """Check a `dataset` object against its kind's table, then load it; ValueError names the field."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    # an unknown kind fails the `kind` row of the table that checks it
+    args = check(spec, DATASETS[kind if kind in DATASET_KINDS else "blobs"], "dataset")
+    loader = {"blobs": gaussian_blobs, "csv": load_csv, "idx": load_idx}[args.pop("kind")]
+    try:
+        return loader(*args.values())
+    except (OSError, ValueError) as e:
+        raise ValueError(f"dataset: {e}") from None
 
 
 def _resolve_out_dir(arg_out, cfg_out) -> str:
@@ -126,26 +87,16 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _load_experiment(path: str) -> tuple[ExperimentConfig, Dataset]:
+    """Load a config and build its dataset; ValueError names the bad field."""
     try:
-        return ExperimentConfig.load(path)
+        with open(path) as f:
+            cfg = ExperimentConfig.from_dict(json.load(f))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"config parse error in {path}: line {e.lineno} column {e.colno}: {e.msg}") from None
-    except TypeError as e:
-        raise ValueError(f"bad config {path}: {e}") from None
-
-
-def _load_experiment(path: str) -> tuple[ExperimentConfig, Dataset]:
-    """Load a config and build its dataset; ValueError names the bad field."""
-    cfg = _load_config(path)
-    try:
-        data = build_dataset(cfg.dataset)
-    except KeyError as e:
-        raise ValueError(f"dataset: missing field {e}") from None
-    except (OSError, ValueError, TypeError) as e:
-        raise ValueError(f"dataset: {e}") from None
+    data = build_dataset(cfg.dataset)
     for split in ("train", "val", "test"):
         if data.splits[split].size == 0:
             raise ValueError(f"dataset: split {split!r} is empty")
@@ -177,7 +128,7 @@ def cmd_train(args) -> int:
         try:
             teacher = load_checkpoint(path)
         except (OSError, ValueError) as e:
-            return _fail(f"cannot load teacher_checkpoint {path}: {e}", 2)
+            return _fail(f"teacher_checkpoint: {e}", 2)
         mismatch = _shape_mismatch(f"teacher_checkpoint {path}", teacher, data)
         if mismatch:
             return _fail(mismatch, 2)
@@ -249,6 +200,10 @@ def cmd_smooth(args) -> int:
         return _fail(f"bad --logits value {args.logits!r}: {e}", 2)
     if not 0 <= args.k < z.size:
         return _fail(f"--k {args.k} out of range for {z.size} logits", 2)
+    try:  # the flags go through the rows of train.smoothing
+        SmoothingConfig(alpha=SmoothingConfig.alpha if args.alpha is None else args.alpha, rho=args.rho, tau=args.tau)
+    except ValueError as e:
+        return _fail(f"--{e}", 2)
     try:
         p = numerics.softmax(z)
         p_star = labo_from_logits(z, args.tau)
@@ -285,7 +240,7 @@ def cmd_hist(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as e:
-        return _fail(f"cannot load checkpoint {args.checkpoint}: {e}", 2)
+        return _fail(f"--checkpoint: {e}", 2)
     mismatch = _shape_mismatch("checkpoint", model, data)
     if mismatch:
         return _fail(mismatch, 2)

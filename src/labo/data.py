@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .io import atomic_write_text
+from .schema import BLOBS, check
 
 __all__ = [
     "Dataset",
@@ -92,12 +93,7 @@ def gaussian_blobs(
     Class means live in the first two feature dimensions; any extra
     dimensions are pure noise. Deterministic under `seed`.
     """
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if not std > 0:
-        raise ValueError(f"std must be positive, got {std}")
-    if dim < 2:
-        raise ValueError("need dim >= 2 to place class means on a circle")
+    check(dict(num_classes=num_classes, per_class=per_class, dim=dim, std=std, seed=seed), BLOBS)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     means = np.zeros((num_classes, dim))

@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .io import atomic_write_text
+from .schema import CHECKPOINT, CHECKPOINT_FORMAT, TRAIN, check
 
 __all__ = ["MlpModel", "SgdOptimizer", "save_checkpoint", "load_checkpoint"]
 
@@ -135,20 +136,11 @@ class SgdOptimizer:
     """
 
     def __init__(self, model: MlpModel, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4):
-        self.check_hyperparameters(lr, momentum, weight_decay)
+        check(dict(lr=lr, momentum=momentum, weight_decay=weight_decay), TRAIN)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.vel = np.zeros_like(model.theta)
-
-    @staticmethod
-    def check_hyperparameters(lr: float, momentum: float, weight_decay: float) -> None:
-        if not lr > 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if not weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
 
     def step(self, model: MlpModel, grad: np.ndarray) -> None:
         self.vel *= self.momentum
@@ -163,7 +155,7 @@ def save_checkpoint(model: MlpModel, path: str) -> None:
     every finite double exactly.
     """
     doc = {
-        "format": "labo-mlp-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "layer_sizes": model.layer_sizes,
         "seed": model.seed,
         "layers": [
@@ -180,23 +172,23 @@ def save_checkpoint(model: MlpModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> MlpModel:
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or doc.get("format") != "labo-mlp-checkpoint-v1":
-        raise ValueError(f"not a model checkpoint: {path}")
+    """Read a `save_checkpoint` document; ValueError names the file and the bad field."""
     try:
+        with open(path) as f:
+            doc = json.load(f)
+        check(doc, CHECKPOINT)
         model = MlpModel(doc["layer_sizes"], seed=doc["seed"], init=False)
         if len(doc["layers"]) != len(model.weights):
-            raise ValueError(f"checkpoint has {len(doc['layers'])} layers, layer_sizes need {len(model.weights)}: {path}")
+            raise ValueError(f"layers has {len(doc['layers'])} entries, layer_sizes need {len(model.weights)}")
         for li, layer in enumerate(doc["layers"]):
             W = np.array(layer["weight"], dtype=np.float64)
             b = np.array(layer["bias"], dtype=np.float64)
             if list(W.shape) != layer["weight_shape"] or list(b.shape) != layer["bias_shape"]:
-                raise ValueError(f"checkpoint layer {li} shape mismatch in {path}")
+                raise ValueError(f"layer {li} shape mismatch")
             if W.shape != model.weights[li].shape or b.shape != model.biases[li].shape:
-                raise ValueError(f"checkpoint layer {li} does not match architecture in {path}")
+                raise ValueError(f"layer {li} does not match the architecture")
             model.weights[li][...] = W
             model.biases[li][...] = b
-    except KeyError as e:
-        raise ValueError(f"checkpoint is missing key {e}: {path}") from None
+    except ValueError as e:
+        raise ValueError(f"bad checkpoint {path}: {e}") from None
     return model

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import numerics
 from .numerics import check_logits, check_prob_vec, onehot
+from .schema import ALPHA_RULES, MODES, SMOOTHING, Config
 
 __all__ = [
     "MODES",
@@ -33,12 +34,9 @@ __all__ = [
     "build_label",
 ]
 
-MODES = ("none", "ls", "kd", "labo")
-ALPHA_RULES = ("fixed", "adaptive")
-
 
 @dataclass(frozen=True)
-class SmoothingConfig:
+class SmoothingConfig(Config, table=SMOOTHING):
     """Immutable smoothing hyperparameters.
 
     The KL weight beta is never stored; it is always derived as
@@ -52,26 +50,6 @@ class SmoothingConfig:
     alpha: float = 0.1
     rho: float = 0.5
     tau: float = 1.25
-
-    def __post_init__(self):
-        if self.alpha_rule not in ALPHA_RULES:
-            raise ValueError(f"alpha_rule must be one of {ALPHA_RULES}, got {self.alpha_rule!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.5 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0.5, 1], got {self.rho}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SmoothingConfig":
-        # config files may still name a mode here; the run's mode is
-        # TrainConfig.mode, so the key is checked and then dropped
-        d = dict(d)
-        mode = d.pop("mode", "labo")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)

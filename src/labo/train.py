@@ -22,7 +22,8 @@ from .data import Dataset
 from .io import atomic_write_text
 from .model import MlpModel, SgdOptimizer, save_checkpoint
 from .objectives import batch_objective
-from .smoothing import MODES, SmoothingConfig
+from .schema import TRAIN, TRAIN_MODES, Config
+from .smoothing import SmoothingConfig
 
 __all__ = [
     "TRAIN_MODES",
@@ -37,16 +38,12 @@ __all__ = [
     "write_reports_csv",
 ]
 
-# The label modes plus the confidence-penalty baseline, which trains on
-# one-hot labels.
-TRAIN_MODES = MODES + ("cp",)
-
 # Mixing weight for uniform label smoothing during warm-up steps.
 WARMUP_ALPHA = 0.1
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config, table=TRAIN):
     steps: int = 2000
     warmup: int = 0
     batch_size: int = 128
@@ -60,31 +57,9 @@ class TrainConfig:
     beta_cp: float = 0.1
 
     def __post_init__(self):
-        if self.mode not in TRAIN_MODES:
-            raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0 <= self.warmup <= self.steps:
-            raise ValueError(f"warmup must be in [0, steps], got {self.warmup}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.beta_cp < 0:
-            raise ValueError("beta_cp must be >= 0")
-        SgdOptimizer.check_hyperparameters(self.lr, self.momentum, self.weight_decay)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "smoothing" in d and isinstance(d["smoothing"], dict):
-            try:
-                d["smoothing"] = SmoothingConfig.from_dict(d["smoothing"])
-            except ValueError as e:
-                raise ValueError(f"smoothing.{e}") from None
-        return cls(**d)
+        super().__post_init__()
+        if self.warmup > self.steps:
+            raise ValueError(f"warmup must be <= steps ({self.steps}), got {self.warmup}")
 
 
 @dataclass(frozen=True)

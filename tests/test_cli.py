@@ -200,12 +200,43 @@ class TestConfigPreflight:
             (None, "hidden", "abc", "hidden"),
             (None, "seeds", ["x"], "seeds"),
             ("train", "seed", -1, "train.seed"),
+            (None, "train", "x", "train must be an object"),
+            ("train", "smoothing", "x", "train.smoothing must be an object"),
+            ("train", "batch_size", 64.5, "train.batch_size must be an integer"),
+            ("train", "eval_every", 2.5, "train.eval_every must be an integer"),
+            ("train", "warmup", 2.5, "train.warmup must be an integer"),
+            ("train", "steps", True, "train.steps must be an integer"),
+            ("smoothing", "tau", float("inf"), "train.smoothing.tau must be a finite number"),
+            ("train", "beta_cp", float("inf"), "train.beta_cp must be a finite number"),
+            ("train", "weight_decay", float("inf"), "train.weight_decay must be a finite number"),
+            ("dataset", "std", float("inf"), "dataset.std must be a finite number"),
+            ("train", "steps", "10", "train.steps must be an integer"),
+            ("train", "lr", "0.1", "train.lr must be a finite number"),
+            ("smoothing", "alpha", "0.1", "train.smoothing.alpha must be a finite number"),
+            (None, "modes", "labo", "modes must be a list"),
+            ("dataset", "nclasses", 4, "dataset.nclasses is not a known field"),
+            ("dataset", "per_class", "x", "dataset.per_class must be an integer"),
+            (None, "dataset", "x", "dataset must be an object"),
+            (None, "out_dir", 5, "out_dir must be a string or null"),
+            (None, "dataset", {"kind": "csv", "path": 0, "label_column": "y"}, "dataset.path must be a string"),
+            (None, "dataset", {"kind": "idx", "images": 0, "labels": "y"}, "dataset.images must be a string"),
+            (None, "dataset", {"kind": "idx", "images": "x", "labels": 1}, "dataset.labels must be a string"),
+            (None, "teacher_checkpoint", 0, "teacher_checkpoint must be a string or null"),
+            (None, "seeds", [1, 1], "seeds must be a non-empty list without repeats"),
+            (None, "modes", ["ls", "none", "ls"], "modes must be a non-empty list without repeats"),
         ],
-        ids=["steps", "lr", "momentum", "weight_decay", "smoothing.mode", "hidden-zero", "hidden-str", "seeds", "seed"],
+        ids=[
+            "steps", "lr", "momentum", "weight_decay", "smoothing.mode", "hidden-zero", "hidden-str", "seeds", "seed",
+            "train-not-object", "smoothing-not-object", "batch_size-float", "eval_every-float", "warmup-float",
+            "steps-bool", "tau-inf", "beta_cp-inf", "weight_decay-inf", "std-inf", "steps-str", "lr-str", "alpha-str",
+            "modes-str", "dataset-unknown-key", "per_class-str", "dataset-not-object", "out_dir-int", "path-int",
+            "images-int", "labels-int", "teacher_checkpoint-int", "seeds-repeated", "modes-repeated",
+        ],
     )
     def test_bad_field_is_named_before_any_run(self, tmp_path, capsys, section, name, value, named):
         doc = json.loads(open(small_config(tmp_path)).read())
-        target = {"train": doc["train"], "smoothing": doc["train"]["smoothing"], None: doc}[section]
+        sections = {"train": doc["train"], "smoothing": doc["train"]["smoothing"], "dataset": doc["dataset"]}
+        target = {**sections, None: doc}[section]
         target[name] = value
         (tmp_path / "config.json").write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -237,8 +268,25 @@ class TestConfigPreflight:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"format": "labo-mlp-checkpoint-v1", "layer_sizes": [2, 8, 3], "seed": 0}, [1, 2]],
-        ids=["missing-layers", "not-an-object"],
+        [
+            {"format": "labo-mlp-checkpoint-v1", "layer_sizes": [2, 8, 3], "seed": 0},
+            [1, 2],
+            {"format": "labo-mlp-checkpoint-v1", "layer_sizes": [2, 8, 3], "seed": 0, "layers": [1, 2]},
+            {
+                "format": "labo-mlp-checkpoint-v1",
+                "layer_sizes": [2, 3],
+                "seed": 0,
+                "layers": [
+                    {
+                        "weight_shape": [2, 3],
+                        "weight": [["1", "0", "0"], ["0", "1", "0"]],
+                        "bias_shape": [3],
+                        "bias": [0, 0, 0],
+                    }
+                ],
+            },
+        ],
+        ids=["missing-layers", "not-an-object", "layers-not-objects", "weight-not-numeric"],
     )
     def test_malformed_checkpoint(self, tmp_path, capsys, doc):
         ckpt = tmp_path / "bad.checkpoint.json"
@@ -317,6 +365,12 @@ class TestSmoothCommand:
 
     def test_target_out_of_range(self, capsys):
         assert main(["smooth", "--logits", "2,1,0", "--k", "7"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--tau", "inf"), ("--alpha", "nan"), ("--rho", "inf")])
+    def test_non_finite_hyperparameter(self, capsys, flag, value):
+        assert main(["smooth", "--logits", "2,1,0", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert f"{flag} must be a finite number" in err and out == ""
 
 
 class TestHistCommand:
