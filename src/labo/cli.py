@@ -94,6 +94,8 @@ def _load_experiment(path: str) -> tuple[ExperimentConfig, Dataset]:
             cfg = ExperimentConfig.from_dict(json.load(f))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ValueError(f"cannot read config file {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"config parse error in {path}: line {e.lineno} column {e.colno}: {e.msg}") from None
     data = build_dataset(cfg.dataset)

@@ -153,7 +153,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def load_csv(path: str, label_column: str) -> Dataset:
-    """Load a rectangular numeric CSV with a header row.
+    """Load a rectangular CSV of finite numbers with a header row.
 
     Labels come from the distinct sorted values of `label_column`, mapped
     to contiguous class indices; the remaining columns become features.
@@ -178,6 +178,9 @@ def load_csv(path: str, label_column: str) -> Dataset:
     if not rows:
         raise ValueError(f"no data rows in {path}")
     table = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:  # row i was read from line i + 2
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite cell")
     raw_labels = table[:, label_idx]
     feature_cols = [i for i in range(len(header)) if i != label_idx]
     features = table[:, feature_cols]

@@ -4,6 +4,10 @@ All kernels compute in the log domain and exponentiate last, so that the
 large exponents produced by tempered transforms cannot underflow raw
 probabilities. Everything is float64; the tolerances quoted in the test
 suite assume double precision.
+
+Each kernel exists once, and the per-instance functions call the ones
+training uses. The simplex oracle keeps its own normalisation, so that it
+never depends on the kernels it certifies.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ PROB_SUM_TOL = 1e-9
 
 
 def check_logits(z) -> np.ndarray:
-    """Validate a logit vector: 1-D, K >= 2, all entries finite."""
+    """Validate a logit vector: 1-D, K >= 2, entries and range max - min finite."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.shape[0] < 2:
         raise ValueError(f"logits must be a 1-D vector with K >= 2, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
+    hi, lo = float(z.max()), float(z.min())  # max and min propagate nan
+    if not np.isfinite(hi - lo):  # a finite range keeps the max-shift from overflowing
+        if not np.isfinite([hi, lo]).all():
+            raise ValueError("logits must be finite")
+        raise ValueError(f"logit range {hi!r} - {lo!r} overflows float64")
     return z
 
 
@@ -77,19 +84,22 @@ def softmax(z) -> np.ndarray:
     return e / e.sum()
 
 
+def log_softmax_rows(Z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of an (n, K) batch: Z - max - log(sum(exp(Z - max)))."""
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def log_softmax(z) -> np.ndarray:
-    """Log-domain softmax: z - max - log(sum(exp(z - max)))."""
-    z = check_logits(z)
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax of one logit vector: `log_softmax_rows` on a one-row view."""
+    return log_softmax_rows(check_logits(z)[None, :])[0]
 
 
 def tempered_softmax(z, tau: float) -> np.ndarray:
     """softmax(z / tau); tau > 0. Larger tau flattens toward uniform."""
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    z = check_logits(z)
-    return softmax(z / tau)
+    return softmax(np.asarray(z, dtype=np.float64) / tau)
 
 
 def entropy(p) -> float:
@@ -114,13 +124,3 @@ def kl_div(p, q) -> float:
     if np.any(q[mask] == 0):
         raise ValueError("support violation: p has mass where q is zero")
     return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
-
-
-# ---------------------------------------------------------------------------
-# Row-wise variant over (n, K) batches; same arithmetic as `log_softmax`.
-# ---------------------------------------------------------------------------
-
-
-def log_softmax_rows(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -64,7 +64,6 @@ def unified_objective(k: int, z, p_ls, alpha: float, beta: float) -> ObjectiveBr
     """Smoothed CE with p_ls mixed in, plus beta * KL(p_ls || uniform)."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    z = check_logits(z)
     p_ls = check_prob_vec(p_ls)
     ce = smoothed_ce(mix_label(k, p_ls, alpha), z)
     kl = beta * numerics.kl_div(p_ls, uniform(p_ls.shape[0]))
@@ -75,9 +74,8 @@ def cp_loss(k: int, z, beta_cp: float) -> float:
     """Cross entropy plus a penalty on confident (low-entropy) outputs."""
     if beta_cp < 0:
         raise ValueError(f"beta_cp must be >= 0, got {beta_cp}")
-    z = check_logits(z)
-    p = numerics.softmax(z)
-    return float(-numerics.log_softmax(z)[k] - beta_cp * numerics.entropy(p))
+    logp = numerics.log_softmax(z)
+    return float(-logp[k] + beta_cp * (np.exp(logp) * logp).sum())
 
 
 def cp_grad_wrt_logits(k: int, z, beta_cp: float) -> np.ndarray:

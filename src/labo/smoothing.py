@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import check_logits, check_prob_vec, onehot
+from .numerics import check_logits, check_prob_vec, onehot, uniform
 from .schema import ALPHA_RULES, MODES, SMOOTHING, Config
 
 __all__ = [
@@ -69,13 +69,7 @@ class SmoothedLabel:
 
 def uniform_smooth(k: int, num_classes: int, alpha: float) -> SmoothedLabel:
     """Classical label smoothing: mass alpha spread uniformly over classes."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0 <= k < num_classes:
-        raise ValueError(f"class index {k} out of range [0, {num_classes})")
-    dist = np.full(num_classes, alpha / num_classes)
-    dist[k] = 1.0 - alpha + alpha / num_classes
-    return SmoothedLabel(target=k, alpha_used=alpha, dist=dist)
+    return mix_label(k, uniform(num_classes), alpha)
 
 
 def mix_label(k: int, p_ls, alpha: float) -> SmoothedLabel:
@@ -102,10 +96,7 @@ def labo_optimal_smoothing(p, tau: float) -> np.ndarray:
     p = check_prob_vec(p)
     if np.any(p == 0):
         raise ValueError("optimal smoothing requires strictly positive p")
-    logp = np.log(p) / tau
-    shifted = logp - logp.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return numerics.softmax(np.log(p) / tau)
 
 
 def labo_from_logits(z, tau: float) -> np.ndarray:

@@ -16,6 +16,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TEMPERED_210_TAU2 = [0.50648039105565403, 0.3071958857184984, 0.18632372322584758]
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN/Infinity constants, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def small_config(tmp_path, **overrides):
     doc = {
         "dataset": {"kind": "blobs", "num_classes": 3, "per_class": 60, "dim": 2, "std": 1.0, "seed": 7},
@@ -94,6 +103,12 @@ class TestTrainCommand:
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"dataset": {,}')
@@ -160,6 +175,17 @@ class TestConfigPreflight:
         err = capsys.readouterr().err
         assert "dataset" in err and missing in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_csv_cell(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        rows = [f"{i % 7}.0,{i % 3}" for i in range(90)]
+        rows[40] = "nan,1"
+        csv_path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        cfg_path = small_config(tmp_path, dataset={"kind": "csv", "path": str(csv_path), "label_column": "y"})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"{csv_path}:42: non-finite cell" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_empty_split(self, tmp_path, capsys):
         # one row per class rounds the 10% validation share down to nothing
@@ -342,7 +368,7 @@ def test_step_sized_temporaries_stay_on_the_heap():
 class TestSmoothCommand:
     def test_inspects_pipeline(self, capsys):
         assert main(["smooth", "--logits", "2,1,0", "--k", "0", "--tau", "2", "--alpha", "0.4"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         np.testing.assert_allclose(doc["optimal_smoothing"], TEMPERED_210_TAU2, atol=1e-9)
         assert doc["alpha_used"] == 0.4
         assert doc["objective"]["total"] == pytest.approx(
@@ -351,17 +377,22 @@ class TestSmoothCommand:
 
     def test_default_temperature(self, capsys):
         assert main(["smooth", "--logits", "1,0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["tau"] == 1.25
 
     def test_zero_alpha_unit_tau_gives_onehot(self, capsys):
         assert main(["smooth", "--logits", "2,1,0", "--k", "1", "--tau", "1", "--alpha", "0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         np.testing.assert_array_equal(doc["label"], [0.0, 1.0, 0.0])
 
     def test_malformed_logits(self, capsys):
         assert main(["smooth", "--logits", "2,spam,0"]) == 2
         assert "logits" in capsys.readouterr().err
+
+    def test_logit_range_overflow(self, capsys):
+        assert main(["smooth", "--logits", "1e308,-1e308,0"]) == 2
+        out, err = capsys.readouterr()
+        assert "logit range" in err and out == ""
 
     def test_target_out_of_range(self, capsys):
         assert main(["smooth", "--logits", "2,1,0", "--k", "7"]) == 2

@@ -150,6 +150,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(str(path), "label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,label\n1.0,0\n{cell},1\n")
+        with pytest.raises(ValueError, match="bad.csv:3: non-finite cell"):
+            load_csv(str(path), "label")
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("a,b\n1,2\n")

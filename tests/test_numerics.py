@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from labo.numerics import (
+    check_logits,
     entropy,
     kl_div,
     log_softmax,
@@ -65,6 +66,11 @@ class TestSoftmax:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             softmax([1.0])
+
+    def test_rejects_logit_range_that_overflows(self):
+        check_logits([1e308, -1e307])  # range 1.1e308 is still finite
+        with pytest.raises(ValueError, match="logit range"):
+            check_logits([1e308, -1e308, 0.0])
 
 
 class TestLogSoftmax:
