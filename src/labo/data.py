@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import atomic_write_text
 from .schema import BLOBS, check
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "gaussian_blobs",
     "load_idx",
     "load_csv",
-    "save_csv",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -190,11 +188,3 @@ def load_csv(path: str, label_column: str) -> Dataset:
     labels = np.searchsorted(values, raw_labels).astype(np.int64)
     return Dataset(features, labels, int(values.size), splits=stratified_splits(labels))
 
-
-def save_csv(dataset: Dataset, path: str, label_column: str = "label") -> None:
-    """Write features plus a trailing label column, with a header row."""
-    header = [f"x{i}" for i in range(dataset.dim)] + [label_column]
-    lines = [",".join(header)]
-    for row, label in zip(dataset.features, dataset.labels):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

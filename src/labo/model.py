@@ -175,20 +175,16 @@ def load_checkpoint(path: str) -> MlpModel:
     """Read a `save_checkpoint` document; ValueError names the file and the bad field."""
     try:
         with open(path) as f:
-            doc = json.load(f)
-        check(doc, CHECKPOINT)
+            doc = check(json.load(f), CHECKPOINT)  # weight and bias come back as float64 arrays
         model = MlpModel(doc["layer_sizes"], seed=doc["seed"], init=False)
         if len(doc["layers"]) != len(model.weights):
             raise ValueError(f"layers has {len(doc['layers'])} entries, layer_sizes need {len(model.weights)}")
-        for li, layer in enumerate(doc["layers"]):
-            W = np.array(layer["weight"], dtype=np.float64)
-            b = np.array(layer["bias"], dtype=np.float64)
-            if list(W.shape) != layer["weight_shape"] or list(b.shape) != layer["bias_shape"]:
-                raise ValueError(f"layer {li} shape mismatch")
-            if W.shape != model.weights[li].shape or b.shape != model.biases[li].shape:
-                raise ValueError(f"layer {li} does not match the architecture")
-            model.weights[li][...] = W
-            model.biases[li][...] = b
+        for li, (layer, *views) in enumerate(zip(doc["layers"], model.weights, model.biases)):
+            for name, view in zip(("weight", "bias"), views):
+                shapes = [list(layer[name].shape), layer[f"{name}_shape"]]
+                if shapes != [list(view.shape)] * 2:
+                    raise ValueError(f"layers[{li}].{name} and {name}_shape are {shapes}; need {list(view.shape)}")
+                view[...] = layer[name]
     except ValueError as e:
         raise ValueError(f"bad checkpoint {path}: {e}") from None
     return model

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import check_logits, check_prob_vec, onehot, uniform
+from .numerics import check_prob_vec, onehot, uniform
 from .smoothing import SmoothedLabel, SmoothingConfig, mix_label
 
 __all__ = [
@@ -54,19 +54,19 @@ class ObjectiveBreakdown:
 
 def smoothed_ce(label: SmoothedLabel, z) -> float:
     """Cross entropy of the model against a smoothed label."""
-    z = check_logits(z)
-    if label.dist.shape != z.shape:
-        raise ValueError(f"shape mismatch: label {label.dist.shape} vs logits {z.shape}")
-    return float(-(label.dist * numerics.log_softmax(z)).sum())
+    logp = numerics.log_softmax(z)
+    if label.dist.shape != logp.shape:
+        raise ValueError(f"shape mismatch: label {label.dist.shape} vs logits {logp.shape}")
+    return float(-(label.dist * logp).sum())
 
 
 def unified_objective(k: int, z, p_ls, alpha: float, beta: float) -> ObjectiveBreakdown:
     """Smoothed CE with p_ls mixed in, plus beta * KL(p_ls || uniform)."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    p_ls = check_prob_vec(p_ls)
-    ce = smoothed_ce(mix_label(k, p_ls, alpha), z)
-    kl = beta * numerics.kl_div(p_ls, uniform(p_ls.shape[0]))
+    label = mix_label(k, p_ls, alpha)  # checks p_ls
+    ce = smoothed_ce(label, z)
+    kl = beta * numerics.kl_div(p_ls, uniform(label.dist.shape[0]))
     return ObjectiveBreakdown.of(ce, kl)
 
 
@@ -116,12 +116,11 @@ def kd_decomposition_residual(k: int, z, teacher_p, alpha: float) -> float:
     absolute difference between the two evaluations (identically zero up to
     rounding).
     """
-    z = check_logits(z)
-    teacher_p = check_prob_vec(teacher_p)
-    num_classes = z.shape[0]
-    lhs = kd_loss(k, z, teacher_p, alpha)
+    lhs = kd_loss(k, z, teacher_p, alpha)  # checks alpha, teacher_p, z and their shapes
+    label = mix_label(k, teacher_p, alpha)
+    num_classes = label.dist.shape[0]
     rhs = (
-        smoothed_ce(mix_label(k, teacher_p, alpha), z)
+        smoothed_ce(label, z)
         + alpha * numerics.kl_div(teacher_p, uniform(num_classes))
         - alpha * np.log(num_classes)
     )
@@ -137,10 +136,10 @@ def grad_wrt_logits(label: SmoothedLabel, z) -> np.ndarray:
     gradient through the inner solution vanishes because that solution is
     optimal on the simplex.
     """
-    z = check_logits(z)
-    if label.dist.shape != z.shape:
-        raise ValueError(f"shape mismatch: label {label.dist.shape} vs logits {z.shape}")
-    return numerics.softmax(z) - label.dist
+    p = numerics.softmax(z)
+    if label.dist.shape != p.shape:
+        raise ValueError(f"shape mismatch: label {label.dist.shape} vs logits {p.shape}")
+    return p - label.dist
 
 
 def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0, teacher_logP=None):

@@ -115,8 +115,7 @@ def verify_closed_form(p, alpha: float, beta: float, tol: float = 1e-9) -> float
     objective value is worse than the solver's by more than `tol` (the
     closed form must never lose to the oracle).
     """
-    p = check_prob_vec(p)
-    closed = smoothing.labo_optimal_smoothing(p, beta / alpha)
+    closed = smoothing.labo_optimal_smoothing(p, beta / alpha)  # checks p
     # run the solver well past its own default tolerance: the residual
     # distance to the fixed point is about 9x the last step size
     report = solve_inner_numeric(p, alpha, beta, tol=1e-14)

@@ -1,15 +1,20 @@
 """One field table per config, dataset and checkpoint document, and one checker.
 
-Types: `int` (not a bool), `float` (finite; integers count), `str`, `str | None`,
-`dict` (any object), a nested table, or `[T]`, a list whose range and choices
-hold for each entry. `check` raises ValueError naming the first bad field by
-its full path, e.g. `train.smoothing.tau must be a finite number, got inf`.
-Rules that read several fields or the data stay with the code that uses them.
+Types: `int` (not a bool), `float` (at most `sys.float_info.max` in magnitude;
+integers count), `str`, `str | None`, `dict` (any object), a nested table, or
+`[T]`, a list whose range and choices hold for each entry. `[float]` and
+`[[float]]` rows (a checkpoint's weights and biases) take neither and come back
+as float64 arrays. `check` raises ValueError naming the first bad field by its
+full path, e.g. `train.smoothing.tau must be a finite number, got inf`. Rules
+that read several fields or the data stay with the code that uses them.
 """
 
-import math
 import numbers
+import reprlib
+import sys
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = ["Field", "Config", "check", "REQUIRED", "SMOOTHING", "TRAIN", "EXPERIMENT", "DATASETS", "CHECKPOINT"]
 
@@ -98,8 +103,8 @@ class Config:
         super().__init_subclass__(**kwargs)
         cls.table = table
 
-    def __post_init__(self):
-        check(vars(self), self.table)
+    def __post_init__(self):  # keeps what `check` converts, e.g. a nested config given as a dict
+        vars(self).update(check(vars(self), self.table))
 
     @classmethod
     def from_dict(cls, doc, where: str = ""):
@@ -113,7 +118,7 @@ class Config:
 def check(doc, table: dict, where: str = "") -> dict:
     """Check `doc` against `table`; return its fields with defaults filled in."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{where or 'the document'} must be an object, got {doc!r}")
+        raise ValueError(f"{where or 'the document'} must be an object, got {reprlib.repr(doc)}")
     out = {}
     for name, f in table.items():
         if name in doc:
@@ -131,24 +136,25 @@ def check(doc, table: dict, where: str = "") -> dict:
 def _value(v, f: Field, t, path: str):
     if isinstance(t, list):
         if not isinstance(v, list):
-            raise ValueError(f"{path} must be a list, got {v!r}")
+            raise ValueError(f"{path} must be a list, got {reprlib.repr(v)}")
+        if t in ([float], [[float]]):
+            return _float_array(v, f, t, path)
         v = [_value(x, f, t[0], f"{path}[{i}]") for i, x in enumerate(v)]
         if f.distinct and (not v or len(set(v)) < len(v)):
-            raise ValueError(f"{path} must be a non-empty list without repeats, got {v!r}")
+            raise ValueError(f"{path} must be a non-empty list without repeats, got {reprlib.repr(v)}")
         return v
     if isinstance(t, dict):  # a nested document, or config when a Config class has table t
         cls = next((c for c in Config.__subclasses__() if c.table is t), None)
         if cls is None:
             return check(v, t, path)
         return v if isinstance(v, cls) else cls.from_dict(v, path)
-    if t is float:  # numpy scalars count; abs(nan) < inf is False
-        ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
-    else:
-        ok = isinstance(v, numbers.Integral if t is int else t) and not isinstance(v, bool)
+    ok = isinstance(v, {float: numbers.Real, int: numbers.Integral}.get(t, t)) and not isinstance(v, bool)
+    if ok and t is float:  # numpy scalars count; an int is compared exactly, so one beyond float64 fails, as nan does
+        ok = abs(v if isinstance(v, int) else float(v)) <= sys.float_info.max
     if not ok:
-        raise ValueError(f"{path} must be {_NOUNS[t]}, got {v!r}")
+        raise ValueError(f"{path} must be {_NOUNS[t]}, got {reprlib.repr(v)}")
     if f.choices is not None and v not in f.choices:
-        raise ValueError(f"{path} must be one of {f.choices}, got {v!r}")
+        raise ValueError(f"{path} must be one of {f.choices}, got {reprlib.repr(v)}")
     rng = f.range
     if rng is not None:
         if rng == "positive":
@@ -159,8 +165,24 @@ def _value(v, f: Field, t, path: str):
             low, high = (float(s) for s in rng[1:-1].split(","))
             ok = low <= v and (v <= high if rng.endswith("]") else v < high)
         if not ok:
-            raise ValueError(f"{path} must be {rng if rng[0] in 'p>' else 'in ' + rng}, got {v!r}")
+            raise ValueError(f"{path} must be {rng if rng[0] in 'p>' else 'in ' + rng}, got {reprlib.repr(v)}")
     return v
+
+
+def _float_array(v: list, f: Field, t, path: str) -> np.ndarray:
+    """A [float] or [[float]] row in one pass; when the pass fails, walking the entries names the first bad one."""
+    nested = t == [[float]]
+    try:
+        types = {type(x) for row in (v if nested else [v]) for x in row}
+        a = np.array(v, dtype=np.float64) if types <= {int, float} else None
+    except (TypeError, ValueError, OverflowError):  # a row that is not a list, ragged rows, an int beyond float64
+        a = None
+    if a is None or a.ndim != 1 + nested or not (np.abs(a) < sys.float_info.max).all():
+        rows = [_value(x, f, t[0], f"{path}[{i}]") for i, x in enumerate(v)]
+        if len({len(row) for row in rows if nested}) > 1:
+            raise ValueError(f"{path} must be a list of rows of equal length")
+        a = np.array(rows, dtype=np.float64)
+    return a
 
 
 _NOUNS = {int: "an integer", float: "a finite number", str: "a string", str | None: "a string or null", dict: "an object"}

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import numerics
 from .numerics import check_logits, check_prob_vec, onehot, uniform
-from .schema import ALPHA_RULES, MODES, SMOOTHING, Config
+from .schema import MODES, SMOOTHING, Config
 
 __all__ = [
     "MODES",
-    "ALPHA_RULES",
     "SmoothingConfig",
     "SmoothedLabel",
     "uniform_smooth",
@@ -116,9 +115,9 @@ def adaptive_alpha(p, rho: float) -> float:
     """
     if not 0.5 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0.5, 1], got {rho}")
-    p = check_prob_vec(p)
-    h_u = np.log(p.shape[0])
-    return float((h_u - rho * numerics.entropy(p)) / h_u)
+    h = numerics.entropy(p)  # checks p
+    h_u = np.log(np.shape(p)[0])
+    return float((h_u - rho * h) / h_u)
 
 
 def build_label(k: int, z, mode: str, cfg: SmoothingConfig, teacher_p=None) -> SmoothedLabel:
@@ -131,22 +130,17 @@ def build_label(k: int, z, mode: str, cfg: SmoothingConfig, teacher_p=None) -> S
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    z = check_logits(z)
-    num_classes = z.shape[0]
+    if mode == "labo":
+        # alpha from the rule applied to the current model distribution (softmax
+        # checks z), smoothing distribution from the tempered logits
+        p = numerics.softmax(z)
+        alpha = adaptive_alpha(p, cfg.rho) if cfg.alpha_rule == "adaptive" else cfg.alpha
+        return mix_label(k, labo_from_logits(z, cfg.tau), alpha)
+    num_classes = check_logits(z).shape[0]
     if mode == "none":
         return SmoothedLabel(target=k, alpha_used=0.0, dist=onehot(k, num_classes))
     if mode == "ls":
         return uniform_smooth(k, num_classes, cfg.alpha)
-    if mode == "kd":
-        if teacher_p is None:
-            raise ValueError("kd mode requires teacher_p")
-        return mix_label(k, teacher_p, cfg.alpha)
-    # labo: alpha from the rule applied to the current model distribution,
-    # smoothing distribution from the tempered logits.
-    p = numerics.softmax(z)
-    if cfg.alpha_rule == "adaptive":
-        alpha = adaptive_alpha(p, cfg.rho)
-    else:
-        alpha = cfg.alpha
-    p_ls = labo_from_logits(z, cfg.tau)
-    return mix_label(k, p_ls, alpha)
+    if teacher_p is None:
+        raise ValueError("kd mode requires teacher_p")
+    return mix_label(k, teacher_p, cfg.alpha)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (in-process through `main`)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import labo.smoothing as smoothing_mod
 from labo.cli import ExperimentConfig, _load_experiment, build_dataset, main
-from labo.model import MlpModel, save_checkpoint
+from labo.model import MlpModel, load_checkpoint, save_checkpoint
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TEMPERED_210_TAU2 = [0.50648039105565403, 0.3071958857184984, 0.18632372322584758]
@@ -250,13 +251,14 @@ class TestConfigPreflight:
             (None, "teacher_checkpoint", 0, "teacher_checkpoint must be a string or null"),
             (None, "seeds", [1, 1], "seeds must be a non-empty list without repeats"),
             (None, "modes", ["ls", "none", "ls"], "modes must be a non-empty list without repeats"),
+            ("smoothing", "tau", 10**400, "train.smoothing.tau must be a finite number"),
         ],
         ids=[
             "steps", "lr", "momentum", "weight_decay", "smoothing.mode", "hidden-zero", "hidden-str", "seeds", "seed",
             "train-not-object", "smoothing-not-object", "batch_size-float", "eval_every-float", "warmup-float",
             "steps-bool", "tau-inf", "beta_cp-inf", "weight_decay-inf", "std-inf", "steps-str", "lr-str", "alpha-str",
             "modes-str", "dataset-unknown-key", "per_class-str", "dataset-not-object", "out_dir-int", "path-int",
-            "images-int", "labels-int", "teacher_checkpoint-int", "seeds-repeated", "modes-repeated",
+            "images-int", "labels-int", "teacher_checkpoint-int", "seeds-repeated", "modes-repeated", "tau-huge-int",
         ],
     )
     def test_bad_field_is_named_before_any_run(self, tmp_path, capsys, section, name, value, named):
@@ -321,6 +323,47 @@ class TestConfigPreflight:
         argv = ["hist", "--checkpoint", str(ckpt), "--config", small_config(tmp_path), "--out", str(out)]
         assert main(argv) == 2
         assert str(ckpt) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, entry, value, named",
+        [
+            ("weight", (0, 1), "0.5", "layers[1].weight[0][1] must be a finite number, got '0.5'"),
+            ("bias", (2,), True, "layers[1].bias[2] must be a finite number, got True"),
+            ("weight", (1, 0), None, "layers[1].weight[1][0] must be a finite number, got None"),
+            ("bias", (0,), math.nan, "layers[1].bias[0] must be a finite number, got nan"),
+            ("weight", (0, 0), 10**400, "layers[1].weight[0][0] must be a finite number, got 1000"),
+            ("weight", (1,), [0.0, 0.0], "layers[1].weight must be a list of rows of equal length"),
+            ("weight", (), "flat", "layers[1].weight[0] must be a list, got "),
+            ("weight_shape", (), [3, 8], "layers[1].weight and weight_shape are [[8, 3], [3, 8]]; need [8, 3]"),
+        ],
+        ids=["string", "true", "null", "nan", "overflowing-int", "ragged-row", "flat-weight", "weight_shape-disagrees"],
+    )
+    def test_bad_checkpoint_array_is_named(self, tmp_path, capsys, field, entry, value, named):
+        ckpt = tmp_path / "bad.checkpoint.json"
+        save_checkpoint(MlpModel([2, 8, 3], seed=0), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        layer = doc["layers"][1]
+        if value == "flat":
+            value = [x for row in layer[field] for x in row]
+        if entry:
+            *outer, last = entry
+            target = layer[field]
+            for i in outer:
+                target = target[i]
+            target[last] = value
+        else:
+            layer[field] = value
+        ckpt.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(str(ckpt))
+        message = str(err.value)
+        assert str(ckpt) in message and named in message
+        assert len(message) < len(str(ckpt)) + 200  # an overflowing int is not printed in full
+        out = tmp_path / "out"
+        argv = ["hist", "--checkpoint", str(ckpt), "--config", small_config(tmp_path), "--out", str(out)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "teacher"])

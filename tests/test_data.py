@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from labo.data import Dataset, gaussian_blobs, load_csv, load_idx, save_csv, stratified_splits
+from labo.data import Dataset, gaussian_blobs, load_csv, load_idx, stratified_splits
 
 
 def nearest_centroid_accuracy(data: Dataset) -> float:
@@ -166,9 +166,10 @@ class TestLoadCsv:
     def test_round_trip_of_generated_blobs(self, tmp_path):
         data = gaussian_blobs(3, 20, dim=3, std=0.7, seed=5)
         path = tmp_path / "blobs.csv"
-        save_csv(data, str(path))
+        rows = [",".join(map(repr, x.tolist())) + f",{y}" for x, y in zip(data.features, data.labels)]
+        path.write_text("x0,x1,x2,label\n" + "\n".join(rows) + "\n")
         loaded = load_csv(str(path), "label")
-        np.testing.assert_allclose(loaded.features, data.features, atol=1e-12)
+        np.testing.assert_array_equal(loaded.features, data.features)  # repr round-trips every double
         np.testing.assert_array_equal(loaded.labels, data.labels)
 
 

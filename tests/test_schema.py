@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,25 @@ class TestRows:
 
     def test_float_accepts_an_int(self):
         assert check({"x": 3}, {"x": Field(float)}) == {"x": 3}
+
+    @pytest.mark.parametrize(
+        "row, value, path",
+        [(float, 10**400, "x"), ([float], [0.5, -(10**400)], "x[1]"), ([[float]], [[0.5], [10**400]], "x[1][0]")],
+        ids=["float", "float-list", "float-rows"],
+    )
+    def test_int_beyond_float64_is_named_in_a_short_message(self, row, value, path):
+        with pytest.raises(ValueError, match=f"^{re.escape(path)} must be a finite number, got -?1000") as err:
+            check({"x": value}, {"x": Field(row)})
+        assert len(str(err.value)) < 80
+        assert check({"x": int(sys.float_info.max)}, {"x": Field(float)})["x"] == int(sys.float_info.max)
+
+    def test_float_rows_come_back_as_float64_arrays(self):
+        doc = {"w": [[1, 2.5], [3.0, -4]], "b": [1, 2.0]}
+        out = check(doc, {"w": Field([[float]]), "b": Field([float])})
+        np.testing.assert_array_equal(out["w"], np.array([[1.0, 2.5], [3.0, -4.0]]))
+        np.testing.assert_array_equal(out["b"], np.array([1.0, 2.0]))
+        assert out["w"].dtype == out["b"].dtype == np.float64
+        assert check({"b": [np.float32(0.5)]}, {"b": Field([float])})["b"].tolist() == [0.5]
 
     def test_numpy_scalars_count(self):
         assert TrainConfig(steps=np.int64(5), lr=np.float32(0.5)).steps == 5
@@ -56,6 +76,13 @@ class TestConfigs:
     def test_rule_across_fields_is_named_by_its_path(self):
         with pytest.raises(ValueError, match=r"^train\.warmup must be <= steps \(5\), got 6$"):
             ExperimentConfig.from_dict({"dataset": {}, "train": {"steps": 5, "warmup": 6}})
+
+    def test_nested_config_given_as_a_dict_becomes_a_config(self):
+        assert TrainConfig(smoothing={"tau": 2.0}).smoothing == SmoothingConfig(tau=2.0)
+        cfg = ExperimentConfig(dataset={}, train={"steps": 5, "smoothing": {"alpha": 0.2}})
+        assert cfg.train == TrainConfig(steps=5, smoothing=SmoothingConfig(alpha=0.2))
+        with pytest.raises(ValueError, match=r"^smoothing\.tau must be positive, got -1$"):
+            TrainConfig(smoothing={"tau": -1})
 
     @pytest.mark.parametrize("name, value", [("lr", 0.0), ("momentum", 1.0), ("weight_decay", math.inf)])
     def test_sgd_and_train_config_share_their_rows(self, name, value):
