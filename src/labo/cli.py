@@ -62,10 +62,6 @@ def build_dataset(spec: dict) -> Dataset:
         raise ValueError(f"dataset: {e}") from None
 
 
-def _resolve_out_dir(arg_out, cfg_out) -> str:
-    return arg_out or cfg_out or os.environ.get("LABO_OUT") or "labo-out"
-
-
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -118,10 +114,7 @@ def _shape_mismatch(what: str, model: MlpModel, data: Dataset) -> str | None:
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg, data = _load_experiment(args.config)
-    except ValueError as e:
-        return _fail(str(e), 2)
+    cfg, data, out_dir = args.cfg, args.data, args.out
     teacher = None
     if "kd" in cfg.modes:
         path = cfg.teacher_checkpoint
@@ -134,7 +127,6 @@ def cmd_train(args) -> int:
         mismatch = _shape_mismatch(f"teacher_checkpoint {path}", teacher, data)
         if mismatch:
             return _fail(mismatch, 2)
-    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     summary: dict = {}
@@ -179,13 +171,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_teacher(args) -> int:
-    try:
-        cfg, data = _load_experiment(args.config)
-    except ValueError as e:
-        return _fail(str(e), 2)
-    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
+    cfg, data = args.cfg, args.data
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    path = os.path.join(out_dir, "teacher.checkpoint.json")
+    path = os.path.join(args.out, "teacher.checkpoint.json")
     teacher_cfg = replace(cfg.train, seed=seed)
     best, _ = train_teacher(data, teacher_cfg, checkpoint_path=path)
     ev = evaluate(best, data, split="test")
@@ -235,10 +223,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    try:
-        cfg, data = _load_experiment(args.config)
-    except ValueError as e:
-        return _fail(str(e), 2)
+    data, out_dir = args.data, args.out
     try:
         model = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as e:
@@ -247,7 +232,6 @@ def cmd_hist(args) -> int:
     if mismatch:
         return _fail(mismatch, 2)
     ev = evaluate(model, data, split=args.split)
-    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
     hist_doc = {
         "split": args.split,
         "accuracy": ev.accuracy,
@@ -342,6 +326,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    if "config" in vars(args):  # train, teacher and hist: one path loads the config, its dataset and out dir
+        try:
+            args.cfg, args.data = _load_experiment(args.config)
+        except ValueError as e:
+            return _fail(str(e), 2)
+        args.out = args.out or args.cfg.out_dir or os.environ.get("LABO_OUT") or "labo-out"
     return args.fn(args)
 
 

@@ -176,15 +176,17 @@ def load_checkpoint(path: str) -> MlpModel:
     try:
         with open(path) as f:
             doc = check(json.load(f), CHECKPOINT)  # weight and bias come back as float64 arrays
-        model = MlpModel(doc["layer_sizes"], seed=doc["seed"], init=False)
-        if len(doc["layers"]) != len(model.weights):
-            raise ValueError(f"layers has {len(doc['layers'])} entries, layer_sizes need {len(model.weights)}")
-        for li, (layer, *views) in enumerate(zip(doc["layers"], model.weights, model.biases)):
-            for name, view in zip(("weight", "bias"), views):
+        sizes, layers = doc["layer_sizes"], doc["layers"]
+        if len(layers) != len(sizes[1:]):
+            raise ValueError(f"layers has {len(layers)} entries, layer_sizes need {len(sizes[1:])}")
+        for li, (layer, fan_in, fan_out) in enumerate(zip(layers, sizes, sizes[1:])):
+            for name, need in (("weight", [fan_in, fan_out]), ("bias", [fan_out])):
                 shapes = [list(layer[name].shape), layer[f"{name}_shape"]]
-                if shapes != [list(view.shape)] * 2:
-                    raise ValueError(f"layers[{li}].{name} and {name}_shape are {shapes}; need {list(view.shape)}")
-                view[...] = layer[name]
+                if shapes != [need] * 2:
+                    raise ValueError(f"layers[{li}].{name} and {name}_shape are {shapes}; need {need}")
+        model = MlpModel(sizes, seed=doc["seed"], init=False)  # only now: no width the file lacks is allocated
     except ValueError as e:
         raise ValueError(f"bad checkpoint {path}: {e}") from None
+    for layer, W, b in zip(layers, model.weights, model.biases):
+        W[...], b[...] = layer["weight"], layer["bias"]
     return model

@@ -174,9 +174,9 @@ def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0
         labels = cfg.alpha * teacher_P
     elif mode == "labo":
         if cfg.alpha_rule == "adaptive":
-            # (log K - rho * H(p)) / log K, with H(p) = -sum(p * log p)
+            # (log K - rho * H(p)) / log K, with H(p) = -sum(p * log p), kept >= 1 - rho as in adaptive_alpha
             h_u = np.log(num_classes)
-            alphas = (h_u + cfg.rho * (P * logp).sum(axis=1)) / h_u
+            alphas = np.maximum((h_u + cfg.rho * (P * logp).sum(axis=1)) / h_u, 1.0 - cfg.rho)
         else:
             alphas = np.full(n, cfg.alpha)
         logq = numerics.log_softmax_rows(Z / cfg.tau)

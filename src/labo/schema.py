@@ -94,9 +94,10 @@ CHECKPOINT = {
 class Config:
     """Base of the frozen config dataclasses, `class C(Config, table=T)`.
 
-    Construction checks every field against T. `from_dict` builds a config,
-    nested configs included, from a JSON object and names a bad field by its
-    path under `where`; a field T knows but C lacks is checked, then dropped.
+    Construction, the one place C's fields are checked against T, covers direct
+    calls, `replace` and nested configs given as dicts. `from_dict` builds a
+    config from a JSON object, naming a bad field by its path under `where`,
+    and checks only what construction cannot: the keys, and the rows C lacks.
     """
 
     def __init_subclass__(cls, table: dict, **kwargs):
@@ -108,21 +109,28 @@ class Config:
 
     @classmethod
     def from_dict(cls, doc, where: str = ""):
-        values = check(doc, cls.table, where)
+        fields = cls.__dataclass_fields__
+        _check(doc, cls.table, where, rows=cls.table.keys() - fields)
         try:
-            return cls(**{k: v for k, v in values.items() if k in cls.__dataclass_fields__})
-        except ValueError as e:  # a rule across fields, e.g. warmup <= steps
+            return cls(**{k: v for k, v in doc.items() if k in fields})
+        except ValueError as e:  # a field, or a rule across fields, e.g. warmup <= steps
             raise ValueError(_join(where, str(e))) from None
 
 
 def check(doc, table: dict, where: str = "") -> dict:
     """Check `doc` against `table`; return its fields with defaults filled in."""
+    return _check(doc, table, where, rows=table)
+
+
+def _check(doc, table: dict, where: str, rows) -> dict:
+    """`check` that checks only the values of `rows`; the rest of `table` names the keys allowed."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where or 'the document'} must be an object, got {reprlib.repr(doc)}")
     out = {}
     for name, f in table.items():
         if name in doc:
-            out[name] = _value(doc[name], f, f.type, _join(where, name))
+            if name in rows:
+                out[name] = _value(doc[name], f, f.type, _join(where, name))
         elif f.default is REQUIRED:
             raise ValueError(f"missing field {name!r}" + (f" in {where}" if where else ""))
         elif f.default is not None:

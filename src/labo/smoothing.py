@@ -111,13 +111,13 @@ def adaptive_alpha(p, rho: float) -> float:
     """Instance-specific mixing weight (log K - rho * H(p)) / log K.
 
     Confident predictions (low entropy) receive more smoothing; the result
-    always lies in [1 - rho, 1].
+    is kept in [1 - rho, 1], also where H(p) rounds above log K.
     """
     if not 0.5 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0.5, 1], got {rho}")
     h = numerics.entropy(p)  # checks p
     h_u = np.log(np.shape(p)[0])
-    return float((h_u - rho * h) / h_u)
+    return float(max((h_u - rho * h) / h_u, 1.0 - rho))
 
 
 def build_label(k: int, z, mode: str, cfg: SmoothingConfig, teacher_p=None) -> SmoothedLabel:

@@ -40,6 +40,7 @@ __all__ = [
 
 # Mixing weight for uniform label smoothing during warm-up steps.
 WARMUP_ALPHA = 0.1
+_WARMUP_SMOOTHING = SmoothingConfig(alpha=WARMUP_ALPHA)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,6 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
     rng = np.random.default_rng(cfg.seed)
     optimizer = SgdOptimizer(model, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
-    warmup_cfg = SmoothingConfig(alpha=WARMUP_ALPHA)
     warmup = cfg.warmup if cfg.mode == "labo" else 0
 
     train_idx = data.splits["train"]
@@ -164,7 +164,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
         ks = data.labels[batch]
         Z = model.forward(X)
 
-        mode, smoothing = ("ls", warmup_cfg) if t < warmup else (cfg.mode, cfg.smoothing)
+        mode, smoothing = ("ls", _WARMUP_SMOOTHING) if t < warmup else (cfg.mode, cfg.smoothing)
         teacher_logP = numerics.log_softmax_rows(teacher.forward(X)) if mode == "kd" else None
         _, alphas, losses, grad = batch_objective(ks, Z, mode, smoothing, cfg.beta_cp, teacher_logP)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ class TestTrainCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_runs_are_recorded_and_do_not_stop_others(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path, modes=["none"], seeds=[1, 2])
-        doc = json.loads(open(cfg_path).read())
+        doc = json.loads(Path(cfg_path).read_text())
         doc["train"]["lr"] = 1e12  # guaranteed numeric blow-up
         broken = tmp_path / "broken_lr.json"
         broken.write_text(json.dumps(doc))
@@ -196,7 +197,7 @@ class TestConfigPreflight:
 
     def test_batch_size_larger_than_training_split(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path)
-        doc = json.loads(open(cfg_path).read())
+        doc = json.loads(Path(cfg_path).read_text())
         doc["train"]["batch_size"] = 100000
         (tmp_path / "config.json").write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -262,7 +263,7 @@ class TestConfigPreflight:
         ],
     )
     def test_bad_field_is_named_before_any_run(self, tmp_path, capsys, section, name, value, named):
-        doc = json.loads(open(small_config(tmp_path)).read())
+        doc = json.loads(Path(small_config(tmp_path)).read_text())
         sections = {"train": doc["train"], "smoothing": doc["train"]["smoothing"], "dataset": doc["dataset"]}
         target = {**sections, None: doc}[section]
         target[name] = value
@@ -273,7 +274,7 @@ class TestConfigPreflight:
         assert not (out / "summary.json").exists()
 
     def test_teacher_rejects_bad_lr(self, tmp_path, capsys):
-        doc = json.loads(open(small_config(tmp_path)).read())
+        doc = json.loads(Path(small_config(tmp_path)).read_text())
         doc["train"]["lr"] = 0
         (tmp_path / "config.json").write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -336,24 +337,28 @@ class TestConfigPreflight:
             ("weight", (1,), [0.0, 0.0], "layers[1].weight must be a list of rows of equal length"),
             ("weight", (), "flat", "layers[1].weight[0] must be a list, got "),
             ("weight_shape", (), [3, 8], "layers[1].weight and weight_shape are [[8, 3], [3, 8]]; need [8, 3]"),
+            ("layer_sizes", (1,), 10**12, "layers[0].weight and weight_shape are [[2, 8], [2, 8]]; need [2, 1000000000000]"),
         ],
-        ids=["string", "true", "null", "nan", "overflowing-int", "ragged-row", "flat-weight", "weight_shape-disagrees"],
+        ids=[
+            "string", "true", "null", "nan", "overflowing-int", "ragged-row", "flat-weight", "weight_shape-disagrees",
+            "huge-width",
+        ],
     )
     def test_bad_checkpoint_array_is_named(self, tmp_path, capsys, field, entry, value, named):
         ckpt = tmp_path / "bad.checkpoint.json"
         save_checkpoint(MlpModel([2, 8, 3], seed=0), str(ckpt))
         doc = json.loads(ckpt.read_text())
-        layer = doc["layers"][1]
+        holder = doc if field == "layer_sizes" else doc["layers"][1]
         if value == "flat":
-            value = [x for row in layer[field] for x in row]
+            value = [x for row in holder[field] for x in row]
         if entry:
             *outer, last = entry
-            target = layer[field]
+            target = holder[field]
             for i in outer:
                 target = target[i]
             target[last] = value
         else:
-            layer[field] = value
+            holder[field] = value
         ckpt.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as err:
             load_checkpoint(str(ckpt))
@@ -439,6 +444,13 @@ class TestSmoothCommand:
 
     def test_target_out_of_range(self, capsys):
         assert main(["smooth", "--logits", "2,1,0", "--k", "7"]) == 2
+
+    def test_uniform_logits_at_unit_rho(self, capsys):
+        # H(p) of a uniform p rounds above log 5; alpha stays at 1 - rho = 0, not just below it
+        assert main(["smooth", "--logits", "0,0,0,0,0", "--rho", "1"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["alpha_used"] == 0.0
+        assert doc["label"] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("flag, value", [("--tau", "inf"), ("--alpha", "nan"), ("--rho", "inf")])
     def test_non_finite_hyperparameter(self, capsys, flag, value):

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+import labo.schema as schema
 from labo.cli import ExperimentConfig
 from labo.model import MlpModel, SgdOptimizer
-from labo.schema import BLOBS, DATASETS, EXPERIMENT, REQUIRED, Field, check
+from labo.schema import BLOBS, DATASETS, EXPERIMENT, REQUIRED, SMOOTHING, TRAIN, Field, check
 from labo.smoothing import SmoothingConfig
 from labo.train import TrainConfig
 
@@ -76,6 +77,18 @@ class TestConfigs:
     def test_rule_across_fields_is_named_by_its_path(self):
         with pytest.raises(ValueError, match=r"^train\.warmup must be <= steps \(5\), got 6$"):
             ExperimentConfig.from_dict({"dataset": {}, "train": {"steps": 5, "warmup": 6}})
+
+    def test_each_table_of_a_config_document_is_checked_once(self, monkeypatch):
+        tables = []
+
+        def counting_check(doc, table, where=""):
+            tables.append(table)
+            return check(doc, table, where)
+
+        monkeypatch.setattr(schema, "check", counting_check)
+        with open(os.path.join(REPO_ROOT, "configs", "blobs_comparison.json")) as f:
+            ExperimentConfig.from_dict(json.load(f))
+        assert tables == [EXPERIMENT, TRAIN, SMOOTHING]
 
     def test_nested_config_given_as_a_dict_becomes_a_config(self):
         assert TrainConfig(smoothing={"tau": 2.0}).smoothing == SmoothingConfig(tau=2.0)

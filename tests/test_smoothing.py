@@ -187,6 +187,15 @@ class TestAdaptiveAlpha:
     def test_uniform_prediction_gives_rho_complement(self):
         assert adaptive_alpha(uniform(7), 0.5) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("num_classes", [5, 12])
+    def test_uniform_prediction_at_unit_rho_gives_zero_on_both_paths(self, num_classes):
+        # H(p) rounds above log K at these K; alpha stays at 1 - rho = 0, not just below it
+        cfg = SmoothingConfig(alpha_rule="adaptive", rho=1.0)
+        assert adaptive_alpha(uniform(num_classes), 1.0) == 0.0
+        assert build_label(0, np.zeros(num_classes), "labo", cfg).alpha_used == 0.0
+        labels, alphas, _, _ = batch_objective(np.zeros(3, dtype=int), np.zeros((3, num_classes)), "labo", cfg)
+        assert np.all(alphas == 0.0) and np.all(labels >= 0.0)
+
     def test_confident_prediction_saturates(self):
         p = np.array([1.0 - 1e-12, 0.5e-12, 0.5e-12])
         for rho in [0.5, 0.8, 1.0]:
