@@ -27,7 +27,7 @@ import numpy as np
 from . import numerics
 from .data import Dataset, gaussian_blobs, load_csv, load_idx
 from .io import atomic_write_text, write_json
-from .model import MlpModel, load_checkpoint, save_checkpoint
+from .model import MlpModel, load_checkpoint, param_count, save_checkpoint
 from .objectives import unified_objective
 from .schema import DATASET_KINDS, DATASETS, EXPERIMENT, Config, check
 from .smoothing import SmoothingConfig, adaptive_alpha, labo_from_logits, mix_label
@@ -115,6 +115,11 @@ def _shape_mismatch(what: str, model: MlpModel, data: Dataset) -> str | None:
 
 def cmd_train(args) -> int:
     cfg, data, out_dir = args.cfg, args.data, args.out
+    n_params = param_count([data.dim, *cfg.hidden, data.num_classes])
+    try:  # else every run fails to allocate its parameter vector
+        np.empty(n_params)
+    except (MemoryError, ValueError):
+        return _fail(f"hidden {cfg.hidden} needs {n_params} parameters, more than can be allocated", 2)
     teacher = None
     if "kd" in cfg.modes:
         path = cfg.teacher_checkpoint
@@ -175,7 +180,10 @@ def cmd_teacher(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     path = os.path.join(args.out, "teacher.checkpoint.json")
     teacher_cfg = replace(cfg.train, seed=seed)
-    best, _ = train_teacher(data, teacher_cfg, checkpoint_path=path)
+    try:
+        best, _ = train_teacher(data, teacher_cfg, checkpoint_path=path)
+    except (FloatingPointError, OSError) as e:
+        return _fail(f"teacher run failed: {type(e).__name__}: {e}", 1)
     ev = evaluate(best, data, split="test")
     print(f"teacher saved to {path} (test_acc={ev.accuracy:.4f})")
     return 0

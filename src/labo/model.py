@@ -18,6 +18,11 @@ from .schema import CHECKPOINT, CHECKPOINT_FORMAT, TRAIN, check
 __all__ = ["MlpModel", "SgdOptimizer", "save_checkpoint", "load_checkpoint"]
 
 
+def param_count(layer_sizes) -> int:
+    """Length of the flat parameter vector of an MLP with these layer widths."""
+    return sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
 class MlpModel:
     """Fully connected ReLU network producing raw logits.
 
@@ -35,7 +40,7 @@ class MlpModel:
             raise ValueError(f"bad layer sizes {layer_sizes}")
         self.layer_sizes = layer_sizes
         self.seed = seed
-        self.theta = np.zeros(sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:])))
+        self.theta = np.zeros(param_count(layer_sizes))
         self.weights, self.biases = self._views(self.theta)
         if init:
             rng = np.random.default_rng(seed)

@@ -81,7 +81,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
             tau = rng.uniform(1.05, 20.0)
             alpha = rng.uniform(0.3, 1.0)
             # raises if the closed form's objective loses by more than 1e-9
-            worst = max(worst, verify_closed_form(p, alpha, alpha * tau, tol=1e-9))
+            worst = np.maximum(worst, verify_closed_form(p, alpha, alpha * tau, tol=1e-9))
         elapsed = time.perf_counter() - start
         passed = worst <= 1e-6 and elapsed <= 30.0
         _report(1, "closed-form oracle equivalence", passed, f"max L-inf {worst:.2e}, {elapsed:.1f}s")
@@ -100,7 +100,7 @@ def test_criterion_2_temperature_identity():
         z = rng.normal(0, 3, size=num_classes)
         tau = taus[i % 2] if i < 200 else rng.uniform(1.0, 10.0)
         gap = np.abs(labo_from_logits(z, tau) - labo_optimal_smoothing(softmax(z), tau)).max()
-        worst = max(worst, gap)
+        worst = np.maximum(worst, gap)
     passed = worst <= 1e-12
     _report(2, "temperature identity", passed, f"max per-entry gap {worst:.2e}")
     assert passed
@@ -115,7 +115,7 @@ def test_criterion_3_kd_decomposition():
         teacher = interior_simplex(rng, num_classes)
         alpha = rng.uniform(0.0, 1.0)
         k = int(rng.integers(num_classes))
-        worst = max(worst, kd_decomposition_residual(k, z, teacher, alpha))
+        worst = np.maximum(worst, kd_decomposition_residual(k, z, teacher, alpha))
         if i < 100:
             # independent spelling of the same identity, constant written out
             from labo.numerics import kl_div
@@ -126,7 +126,7 @@ def test_criterion_3_kd_decomposition():
                 + alpha * kl_div(teacher, uniform(num_classes))
                 - alpha * math.log(num_classes)
             )
-            worst = max(worst, abs(lhs - rhs))
+            worst = np.maximum(worst, abs(lhs - rhs))
     passed = worst <= 1e-10
     _report(3, "distillation decomposition", passed, f"max residual {worst:.2e}")
     assert passed
@@ -138,8 +138,8 @@ def test_criterion_4_temperature_limits():
     for _ in range(100):
         num_classes = int(rng.choice([2, 3, 10]))
         p = interior_simplex(rng, num_classes)
-        worst_id = max(worst_id, np.abs(labo_optimal_smoothing(p, 1.0) - p).max())
-        worst_flat = max(
+        worst_id = np.maximum(worst_id, np.abs(labo_optimal_smoothing(p, 1.0) - p).max())
+        worst_flat = np.maximum(
             worst_flat, np.abs(labo_optimal_smoothing(p, 1e6) - uniform(num_classes)).max()
         )
     passed = worst_id <= 1e-12 and worst_flat <= 1e-5
@@ -175,10 +175,10 @@ def test_criterion_5_zero_hypergradient():
         z = m.forward(x)
         p_star = labo_from_logits(z, tau)
         analytic = m.backward(grad_wrt_logits(mix_label(k, p_star, alpha), z))
-        worst_rel = max(worst_rel, np.linalg.norm(fd - analytic) / np.linalg.norm(fd))
+        worst_rel = np.maximum(worst_rel, np.linalg.norm(fd - analytic) / np.linalg.norm(fd))
 
         g = inner_gradient(p_star, softmax(z), alpha, beta)
-        worst_tan = max(worst_tan, float(np.linalg.norm(g - g.mean())))
+        worst_tan = np.maximum(worst_tan, float(np.linalg.norm(g - g.mean())))
     passed = worst_rel <= 1e-4 and worst_tan <= 1e-8
     _report(5, "zero hypergradient", passed, f"rel L2 {worst_rel:.2e}, tangent norm {worst_tan:.2e}")
     assert passed
@@ -192,7 +192,7 @@ def test_criterion_6_hessian_structure():
         num_classes = int(rng.choice([2, 3, 10]))
         p_ls = interior_simplex(rng, num_classes, floor_mix=0.1)
         beta = rng.uniform(0.5, 5.0)
-        worst = max(worst, hessian_check(p_ls, beta))
+        worst = np.maximum(worst, hessian_check(p_ls, beta))
         logp = np.log(p_ls)
 
         def f(x):
@@ -239,7 +239,7 @@ def test_criterion_7_model_gradient_gate():
             for size in (W.size, b.size):
                 fd_t, an_t = fd[offset : offset + size], analytic[offset : offset + size]
                 rel = np.linalg.norm(fd_t - an_t) / max(np.linalg.norm(fd_t), 1e-12)
-                worst = max(worst, rel)
+                worst = np.maximum(worst, rel)
                 offset += size
     passed = worst <= 1e-5
     _report(7, "model gradient gate", passed, f"worst per-tensor rel error {worst:.2e}")

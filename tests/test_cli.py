@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import labo.objectives as objectives_mod
 import labo.smoothing as smoothing_mod
 from labo.cli import ExperimentConfig, _load_experiment, build_dataset, main
 from labo.model import MlpModel, load_checkpoint, save_checkpoint
@@ -55,22 +56,54 @@ def small_config(tmp_path, **overrides):
     return str(path)
 
 
+# Each check of `labo verify --quick` in order, with the first word of its
+# detail: the instance count, or `tau=1` where the detail reports errors only.
+QUICK_CHECKS = [
+    ("closed-form-vs-solver", "100"),
+    ("tempering-limits", "tau=1"),
+    ("temperature-identity", "100"),
+    ("kd-decomposition", "100"),
+    ("objective-equivalence", "100"),
+    ("hessian-diagonal", "10"),
+    ("model-gradient-gate", "3"),
+    ("zero-hypergradient", "10"),
+    ("cp-gradient", "10"),
+    ("solver-init-invariance", "5"),
+]
+
+
+def verify_rows(out):
+    """(name, status, detail) of each check line of `labo verify` stdout, and its last line."""
+    *lines, last = out.splitlines()
+    return [(name, status, detail) for name, status, _, detail in (line.split(None, 3) for line in lines)], last
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        rows, last = verify_rows(capsys.readouterr().out)
+        assert [(name, status, detail.split()[0]) for name, status, detail in rows] == [
+            (name, "PASS", lead) for name, lead in QUICK_CHECKS
+        ]
+        assert last == "10/10 checks passed"
 
-    def test_detects_inverted_exponent(self, capsys, monkeypatch):
-        """A tau <-> 1/tau mutation must be caught by the suite."""
-        original = smoothing_mod.labo_optimal_smoothing
-
-        def mutated(p, tau):
-            return original(p, 1.0 / tau)
-
-        monkeypatch.setattr(smoothing_mod, "labo_optimal_smoothing", mutated)
+    @pytest.mark.parametrize(
+        "module, name, mutate, check, message",
+        [
+            # tau <-> 1/tau
+            (smoothing_mod, "labo_optimal_smoothing", lambda f: lambda p, tau: f(p, 1.0 / tau), "tempering-limits",
+             "tau=1e6 distance from uniform"),
+            # a NaN on every instance, which a running `max(worst, x)` drops
+            (objectives_mod, "kd_decomposition_residual", lambda f: lambda *args: math.nan, "kd-decomposition",
+             "AssertionError: kd decomposition residual nan > 1e-10"),
+        ],
+        ids=["inverted-exponent", "nan-kd-residual"],
+    )
+    def test_detects_mutation(self, capsys, monkeypatch, module, name, mutate, check, message):
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
         assert main(["verify", "--quick"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        status, detail = {name: (status, detail) for name, status, detail in verify_rows(capsys.readouterr().out)[0]}[check]
+        assert status == "FAIL" and message in detail
 
 
 class TestTrainCommand:
@@ -140,6 +173,17 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["none"]["failures"]) == 2
         assert "step" in summary["none"]["failures"][0]["error"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_teacher_run_failure_is_an_error_line(self, tmp_path, capsys):
+        doc = json.loads(Path(small_config(tmp_path)).read_text())
+        doc["train"]["lr"] = 1e12  # guaranteed numeric blow-up
+        broken = tmp_path / "broken_lr.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["teacher", "--config", str(broken), "--out", str(out)]) == 1
+        assert "error: teacher run failed: FloatingPointError: non-finite training loss at step" in capsys.readouterr().err
+        assert not (out / "teacher.checkpoint.json").exists()
 
     def test_teacher_then_kd_pipeline(self, tmp_path):
         cfg_path = small_config(tmp_path, modes=["kd"], seeds=[1])
@@ -253,6 +297,8 @@ class TestConfigPreflight:
             (None, "seeds", [1, 1], "seeds must be a non-empty list without repeats"),
             (None, "modes", ["ls", "none", "ls"], "modes must be a non-empty list without repeats"),
             ("smoothing", "tau", 10**400, "train.smoothing.tau must be a finite number"),
+            # 4.16 EiB: more than any address space, whatever the overcommit policy
+            (None, "hidden", [10**17], "hidden [100000000000000000] needs 600000000000000003 parameters"),
         ],
         ids=[
             "steps", "lr", "momentum", "weight_decay", "smoothing.mode", "hidden-zero", "hidden-str", "seeds", "seed",
@@ -260,6 +306,7 @@ class TestConfigPreflight:
             "steps-bool", "tau-inf", "beta_cp-inf", "weight_decay-inf", "std-inf", "steps-str", "lr-str", "alpha-str",
             "modes-str", "dataset-unknown-key", "per_class-str", "dataset-not-object", "out_dir-int", "path-int",
             "images-int", "labels-int", "teacher_checkpoint-int", "seeds-repeated", "modes-repeated", "tau-huge-int",
+            "hidden-huge",
         ],
     )
     def test_bad_field_is_named_before_any_run(self, tmp_path, capsys, section, name, value, named):
@@ -271,7 +318,7 @@ class TestConfigPreflight:
         out = tmp_path / "out"
         assert main(["train", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_teacher_rejects_bad_lr(self, tmp_path, capsys):
         doc = json.loads(Path(small_config(tmp_path)).read_text())

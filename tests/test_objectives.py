@@ -151,7 +151,7 @@ class TestCpLoss:
             beta_cp = rng.uniform(0.0, 1.0)
             fd = fd_grad(lambda zz: cp_loss(k, zz, beta_cp), z)
             an = cp_grad_wrt_logits(k, z, beta_cp)
-            worst = max(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12))
+            worst = np.maximum(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12))
         assert worst <= 1e-6
 
     def test_saturated_logits_give_finite_gradient(self):
@@ -190,7 +190,7 @@ class TestKdDecomposition:
             teacher = interior_simplex(rng, num_classes)
             alpha = rng.uniform(0.0, 1.0)
             k = int(rng.integers(num_classes))
-            worst = max(worst, kd_decomposition_residual(k, z, teacher, alpha))
+            worst = np.maximum(worst, kd_decomposition_residual(k, z, teacher, alpha))
         assert worst <= 1e-10
 
     def test_zero_alpha_residual_is_zero(self):
@@ -232,7 +232,7 @@ class TestGradWrtLogits:
             label = mix_label(int(rng.integers(num_classes)), interior_simplex(rng, num_classes), rng.uniform(0, 1))
             fd = fd_grad(lambda zz: smoothed_ce(label, zz), z)
             an = grad_wrt_logits(label, z)
-            worst = max(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12))
+            worst = np.maximum(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12))
         assert worst <= 1e-6
 
     def test_matches_finite_differences_of_full_objective(self):
@@ -254,7 +254,7 @@ class TestGradWrtLogits:
             fd = fd_grad(full, z)
             label = mix_label(k, labo_from_logits(z, tau), alpha)
             an = grad_wrt_logits(label, z)
-            worst = max(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12))
+            worst = np.maximum(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12))
         assert worst <= 1e-4
 
     def test_rejects_dimension_mismatch(self):

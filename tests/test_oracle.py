@@ -93,7 +93,7 @@ class TestVerifyClosedForm:
             p = interior_simplex(rng, num_classes)
             tau = rng.uniform(1.05, 20.0)
             alpha = rng.uniform(0.3, 1.0)
-            worst = max(worst, verify_closed_form(p, alpha, alpha * tau))
+            worst = np.maximum(worst, verify_closed_form(p, alpha, alpha * tau))
         assert worst <= 1e-6
 
     def test_unit_ratio_distance(self):
