@@ -20,7 +20,7 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -74,12 +74,14 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_verify(args) -> int:
     results = run_verification(quick=args.quick, seed=args.seed)
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.seconds:6.2f}s  {r.detail}")
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    if args.json:
+        print(json.dumps([asdict(r) for r in results], indent=1))
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.seconds:6.2f}s  {r.detail}")
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 0 if not failed else 1
 
 
@@ -273,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numeric verification suite")
     p.add_argument("--quick", action="store_true", help="smaller sweeps (about 10x faster)")
     p.add_argument("--seed", type=non_negative_int, default=VERIFY_SEED)
+    p.add_argument("--json", action="store_true", help="print each check's name, passed, detail and seconds as JSON")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("train", help="run a mode x seed comparison from a config")

@@ -7,7 +7,8 @@ The inner problem minimizes, over the probability simplex,
 (the one-hot part of the smoothed CE does not depend on x and is dropped).
 `solve_inner_numeric` minimizes f by exponentiated gradient (mirror descent
 in the KL geometry), which keeps iterates strictly inside the simplex and
-never touches the closed form, so it can serve as an oracle for it.
+never touches the closed form, so it can serve as an oracle for it. It
+solves an (n, K) batch in one loop that freezes each row once converged.
 
 With step size c/beta the log-domain iteration contracts toward the
 optimum with factor (1 - c) per step, so the c = 0.1 used here converges to
@@ -23,15 +24,8 @@ import numpy as np
 from . import smoothing
 from .numerics import check_prob_vec, uniform
 
-__all__ = [
-    "SimplexSolverReport",
-    "inner_objective",
-    "inner_gradient",
-    "solve_inner_numeric",
-    "verify_closed_form",
-    "numerical_hessian",
-    "hessian_check",
-]
+__all__ = ["SimplexSolverReport", "inner_objective", "inner_gradient", "solve_inner_numeric",
+           "verify_closed_form", "numerical_hessian", "hessian_check"]
 
 
 @dataclass(frozen=True)
@@ -44,90 +38,106 @@ class SimplexSolverReport:
 
 def inner_objective(x, p, alpha: float, beta: float) -> float:
     """f(x) = -alpha * <x, log p> + beta * KL(x || uniform)."""
-    x = check_prob_vec(x)
-    p = check_prob_vec(p)
-    num_classes = x.shape[0]
+    x, p = check_prob_vec(x), check_prob_vec(p)
     mask = x > 0
-    kl = float((x[mask] * np.log(num_classes * x[mask])).sum())
+    kl = float((x[mask] * np.log(x.shape[0] * x[mask])).sum())
     return float(-alpha * (x * np.log(p)).sum() + beta * kl)
 
 
-def inner_gradient(x, p, alpha: float, beta: float) -> np.ndarray:
-    """Gradient of `inner_objective` on the open simplex."""
-    num_classes = x.shape[0]
-    return -alpha * np.log(p) + beta * (np.log(num_classes * x) + 1.0)
+def inner_gradient(x, p, alpha, beta) -> np.ndarray:
+    """Gradient of `inner_objective` on the open simplex; row-wise for (n, K) x, p and (n, 1) alpha, beta."""
+    return -alpha * np.log(p) + beta * (np.log(x.shape[-1] * x) + 1.0)
+
+
+def _rows(v, where: str, positive: str) -> np.ndarray:
+    """A (K,) input (`where` empty) or each row of an (n, K) one, checked as a positive distribution; as (n, K)."""
+    rows = list(v) if where else [v]
+    for i, row in enumerate(rows):
+        try:
+            rows[i] = row = check_prob_vec(row)
+            if np.any(row == 0):
+                raise ValueError(positive)
+            if row.shape != rows[0].shape:
+                raise ValueError(f"has {row.shape[0]} entries, expected {rows[0].shape[0]}")
+        except ValueError as e:
+            raise ValueError(f"{where.format(i)}{e}") from None
+    return np.array(rows)
 
 
 def solve_inner_numeric(
-    p,
-    alpha: float,
-    beta: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    init=None,
+    p, alpha, beta, tol: float = 1e-10, max_iter: int = 100_000, init=None
 ) -> SimplexSolverReport:
     """Minimize the inner objective over the simplex by exponentiated gradient.
 
     Update: x <- normalize(x * exp(-lr * grad f(x))) with lr = 0.1/beta.
     Converged when successive iterates differ by at most `tol` in L-infinity.
+    An (n, K) batch `p` (scalar or (n,) `alpha`, `beta`) gives an (n, K)
+    `argmin` and (n,) objectives; each sweep steps only the rows not yet
+    converged, so a row takes the iterates of its own n = 1 solve.
+    `iterations` counts sweeps and `converged` holds when every row has.
     """
-    p = check_prob_vec(p)
-    if np.any(p == 0):
-        raise ValueError("inner problem requires strictly positive p")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    try:
+        where = "" if np.ndim(p) < 2 else "row {}: "
+    except ValueError:  # rows of different lengths
+        where = "row {}: "
+    P = _rows(p, where, "inner problem requires strictly positive p")
+    n, num_classes = P.shape
+    A, B = (np.broadcast_to(np.asarray(v, dtype=np.float64), (n,)) for v in (alpha, beta))
+    for i in np.flatnonzero(~(B > 0))[:1]:  # the first row with a bad beta
+        raise ValueError(f"{where.format(i)}beta must be positive, got {B[i] if where else beta}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-
-    x = uniform(p.shape[0]) if init is None else check_prob_vec(init).copy()
-    if np.any(x == 0):
-        raise ValueError("initial point must be strictly positive")
-    lr = 0.1 / beta
-
-    converged = False
+    X = np.tile(uniform(num_classes), (n, 1))
+    if init is not None and (X := _rows(init, where, "initial point must be strictly positive")).shape != P.shape:
+        raise ValueError(f"initial point has shape {np.shape(init)}, expected {np.shape(p)}")
+    a, b, lr = A[:, None], B[:, None], 0.1 / B[:, None]
+    active = np.arange(n)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        g = inner_gradient(x, p, alpha, beta)
+    while active.size and iterations < max_iter:
+        iterations += 1
+        x = X[active]
+        g = inner_gradient(x, P[active], a[active], b[active])
         # log-domain multiplicative step, renormalized via softmax shift
-        logx = np.log(x) - lr * g
-        logx -= logx.max()
+        logx = np.log(x) - lr[active] * g
+        logx -= logx.max(axis=1, keepdims=True)
         x_new = np.exp(logx)
-        x_new /= x_new.sum()
-        delta = np.abs(x_new - x).max()
-        x = x_new
-        if delta <= tol:
-            converged = True
-            break
+        x_new /= x_new.sum(axis=1, keepdims=True)
+        X[active] = x_new
+        active = active[~(np.abs(x_new - x).max(axis=1) <= tol)]  # a NaN step is not convergence
 
-    return SimplexSolverReport(
-        argmin=x,
-        objective_at_argmin=inner_objective(x, p, alpha, beta),
-        iterations=iterations,
-        converged=converged,
-    )
+    objective = [inner_objective(*row) for row in zip(X, P, A, B)]
+    argmin, objective = (X, np.array(objective)) if where else (X[0], objective[0])
+    return SimplexSolverReport(argmin, objective, iterations, converged=not active.size)
 
 
-def verify_closed_form(p, alpha: float, beta: float, tol: float = 1e-9) -> float:
+def verify_closed_form(p, alpha, beta, tol: float = 1e-9):
     """Compare the closed-form optimal smoothing against the numeric solver.
 
-    Returns the L-infinity distance between the two minimizers. Raises
-    RuntimeError if the solver fails to converge or if the closed form's
-    objective value is worse than the solver's by more than `tol` (the
-    closed form must never lose to the oracle).
+    Returns the L-infinity distance between the two minimizers, one per row
+    of an (n, K) batch. Raises RuntimeError, naming a batch's row, if the
+    solver fails to converge or if the closed form's objective is worse than
+    the solver's by more than `tol` (the closed form must never lose).
     """
-    closed = smoothing.labo_optimal_smoothing(p, beta / alpha)  # checks p
     # run the solver well past its own default tolerance: the residual
     # distance to the fixed point is about 9x the last step size
-    report = solve_inner_numeric(p, alpha, beta, tol=1e-14)
-    if not report.converged:
-        raise RuntimeError(f"inner solver did not converge within {report.iterations} iterations")
-    obj_closed = inner_objective(closed, p, alpha, beta)
-    if obj_closed > report.objective_at_argmin + tol:
-        raise RuntimeError(
-            "closed form lost to the numeric solver: "
-            f"{obj_closed!r} > {report.objective_at_argmin!r} + {tol}"
-        )
-    return float(np.abs(closed - report.argmin).max())
+    report = solve_inner_numeric(p, alpha, beta, tol=1e-14)  # checks p
+    where = "" if report.argmin.ndim == 1 else "row {}: "
+    X, objective = np.atleast_2d(report.argmin), np.atleast_1d(report.objective_at_argmin).tolist()
+    P = np.reshape(np.asarray(p, dtype=np.float64), X.shape)
+    A, B = (np.broadcast_to(np.asarray(v, dtype=np.float64), len(X)).tolist() for v in (alpha, beta))
+    if not report.converged:  # a row takes the same iterates alone as in the batch
+        i = next(i for i, q in enumerate(P) if not where or not solve_inner_numeric(q, A[i], B[i], tol=1e-14).converged)
+        raise RuntimeError(f"{where.format(i)}inner solver did not converge within {report.iterations} iterations")
+    distances = []
+    for i, (q, x, a, b, obj) in enumerate(zip(P, X, A, B, objective)):
+        closed = smoothing.labo_optimal_smoothing(q, b / a)
+        obj_closed = inner_objective(closed, q, a, b)
+        if obj_closed > obj + tol:
+            raise RuntimeError(
+                f"{where.format(i)}closed form lost to the numeric solver: {obj_closed!r} > {obj!r} + {tol}"
+            )
+        distances.append(float(np.abs(closed - x).max()))
+    return np.array(distances) if where else distances[0]
 
 
 def numerical_hessian(f, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -137,21 +147,15 @@ def numerical_hessian(f, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     the curvature of x log x blows up as entries approach zero.
     """
     n = x.shape[0]
+    E = np.diag(steps)  # row i moves coordinate i by steps[i]
     H = np.empty((n, n))
     f0 = f(x)
     for i in range(n):
-        hi = steps[i]
-        ei = np.zeros(n)
-        ei[i] = hi
+        hi, ei = steps[i], E[i]
         H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / (hi * hi)
         for j in range(i + 1, n):
-            hj = steps[j]
-            ej = np.zeros(n)
-            ej[j] = hj
-            val = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (
-                4.0 * hi * hj
-            )
-            H[i, j] = H[j, i] = val
+            hj, ej = steps[j], E[j]
+            H[i, j] = H[j, i] = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * hi * hj)
     return H
 
 
@@ -164,20 +168,16 @@ def hessian_check(p_ls, beta: float) -> float:
     model distribution, a representative instance) off the simplex, which is
     valid because the analytic form holds on the ambient orthant.
     """
-    p_ls = check_prob_vec(p_ls)
-    if np.any(p_ls == 0):
-        raise ValueError("hessian check requires strictly positive p_ls")
+    p_ls = _rows(p_ls, "", "hessian check requires strictly positive p_ls")[0]
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    num_classes = p_ls.shape[0]
     logp = np.log(p_ls)
 
     def f(x):
         # same integrand as inner_objective but defined off the simplex
-        return float(-(x * logp).sum() + beta * (x * np.log(num_classes * x)).sum())
+        return float(-(x * logp).sum() + beta * (x * np.log(p_ls.size * x)).sum())
 
     # balance truncation (~h^2 * beta / x^3) against rounding (~eps / h^2)
     steps = 3e-4 * p_ls**0.75 / beta**0.25
     H = numerical_hessian(f, p_ls.copy(), steps)
-    analytic = np.diag(beta / p_ls)
-    return float(np.abs(H - analytic).max())
+    return float(np.abs(H - np.diag(beta / p_ls)).max())

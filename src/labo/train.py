@@ -123,6 +123,7 @@ def evaluate(model: MlpModel, data: Dataset, split: str = "val") -> EvalResult:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the finite checks below report a blow-up
 def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None):
     """Train `model` in place and return (best model, reports).
 

@@ -36,14 +36,33 @@ def _sweep(rng, n: int, draw, bounds: dict, detail: str) -> str:
     """Hold the max over `n` draws of each error to its bound; return the filled-in `detail`.
 
     `draw(rng, i)` returns one error, or a tuple with one error per entry of
-    `bounds` ({quantity: bound}). A check fails when a max is above its bound
-    or is not finite; a NaN from any instance makes its max NaN.
+    `bounds` ({quantity: bound}); a `batched` draw returns all n errors from
+    one `draw(rng, n)`. A check fails when a max is above its bound or is not
+    finite; a NaN from any instance makes its max NaN.
     """
-    worst = np.max([np.atleast_1d(draw(rng, i)) for i in range(n)], axis=0)
+    errors = draw(rng, n) if getattr(draw, "batched", False) else [np.atleast_1d(draw(rng, i)) for i in range(n)]
+    worst = np.max(np.reshape(errors, (n, -1)), axis=0)
     for (what, bound), value in zip(bounds.items(), worst):
         if not value <= bound:
             raise AssertionError(f"{what} {value:.3e} > {bound:g}")
     return detail.format(n, *worst)
+
+
+def _by_class_count(instance, solve):
+    """A batched draw: n `instance(rng)` tuples `(p, *args)` in rng order, then one error per instance
+    from `solve(P, *columns)` on each class count's rows (the oracle consumes no randomness)."""
+
+    def draw(rng, n):
+        instances = [instance(rng) for _ in range(n)]
+        sizes = np.array([len(drawn[0]) for drawn in instances])
+        errors = np.empty(n)
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            errors[rows] = solve(*map(np.array, zip(*(instances[i] for i in rows))))
+        return errors
+
+    draw.batched = True
+    return draw
 
 
 def _interior_simplex(rng, num_classes: int, floor_mix: float = 0.05) -> np.ndarray:
@@ -88,12 +107,12 @@ def _fd_vs_backprop(rng, label, loss=None):
     return _rel_err(fd, m.backward(objectives.grad_wrt_logits(label(k, z), z))), z
 
 
-def _closed_form_vs_solver(rng, i):
+def _closed_form_instance(rng):
     num_classes = int(rng.choice([2, 3, 10, 50]))
     p = _interior_simplex(rng, num_classes)
     tau = rng.uniform(1.05, 20.0)
     alpha = rng.uniform(0.3, 1.0)
-    return oracle.verify_closed_form(p, alpha, alpha * tau, tol=1e-9)
+    return p, alpha, alpha * tau
 
 
 def _tempering_limits(rng, i):
@@ -179,24 +198,28 @@ def _cp_gradient(rng, i):
     return _rel_err(fd, objectives.cp_grad_wrt_logits(k, z, beta_cp))
 
 
-def _solver_init_invariance(rng, i):
+def _solver_init_instance(rng):
     num_classes = int(rng.choice([2, 3, 10]))
     p = _interior_simplex(rng, num_classes)
     tau = rng.uniform(1.05, 10.0)
     alpha = rng.uniform(0.3, 1.0)
-    beta = alpha * tau
-    from_uniform = oracle.solve_inner_numeric(p, alpha, beta)
-    from_random = oracle.solve_inner_numeric(p, alpha, beta, init=_interior_simplex(rng, num_classes))
+    return p, alpha, alpha * tau, _interior_simplex(rng, num_classes)
+
+
+def _init_sensitivity(P, A, B, inits):
+    from_uniform = oracle.solve_inner_numeric(P, A, B)
+    from_random = oracle.solve_inner_numeric(P, A, B, init=inits)
     if not (from_uniform.converged and from_random.converged):
         raise AssertionError("solver failed to converge")
-    return np.abs(from_uniform.argmin - from_random.argmin).max()
+    return np.abs(from_uniform.argmin - from_random.argmin).max(axis=1)
 
 
 def run_verification(quick: bool = False, seed: int = VERIFY_SEED) -> list[CheckResult]:
     """Run every check; `quick` shrinks the sweeps by a factor of 10."""
     n = 100 if quick else 1000
     checks = [  # name, draw, instances, {quantity: bound}, detail format (count, then each max)
-        ("closed-form-vs-solver", _closed_form_vs_solver, n,
+        ("closed-form-vs-solver",
+         _by_class_count(_closed_form_instance, lambda P, A, B: oracle.verify_closed_form(P, A, B, tol=1e-9)), n,
          {"max closed-form/solver distance": 1e-6}, "{} instances, max distance {:.2e}"),
         ("tempering-limits", _tempering_limits, max(n // 10, 10),
          {"tau=1 distance from p": 1e-12, "tau=1e6 distance from uniform": 1e-5},
@@ -216,7 +239,7 @@ def run_verification(quick: bool = False, seed: int = VERIFY_SEED) -> list[Check
          "{} points, worst rel err {:.2e}, tangent norm {:.2e}"),
         ("cp-gradient", _cp_gradient, n // 10,
          {"cp gradient relative error": 1e-6}, "{} instances, worst relative error {:.2e}"),
-        ("solver-init-invariance", _solver_init_invariance, 5 if quick else 20,
+        ("solver-init-invariance", _by_class_count(_solver_init_instance, _init_sensitivity), 5 if quick else 20,
          {"solver init sensitivity": 1e-8}, "{} instances, max init sensitivity {:.2e}"),
     ]
     results = []

@@ -29,7 +29,7 @@ from labo.oracle import hessian_check, inner_gradient, numerical_hessian, verify
 from labo.smoothing import labo_from_logits, labo_optimal_smoothing, mix_label, uniform_smooth
 from labo.train import TrainConfig, evaluate, run_training
 from labo.smoothing import SmoothingConfig
-from conftest import interior_simplex
+from conftest import by_class_count, closed_form_instances, interior_simplex
 
 
 def _report(num: int, name: str, passed: bool, detail: str = ""):
@@ -75,13 +75,10 @@ def test_criterion_1_closed_form_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     try:
-        for _ in range(1000):
-            num_classes = int(rng.choice([2, 3, 10, 50]))
-            p = interior_simplex(rng, num_classes)
-            tau = rng.uniform(1.05, 20.0)
-            alpha = rng.uniform(0.3, 1.0)
+        # every instance drawn first, then each class count solved as one batch
+        for P, A, B in by_class_count(closed_form_instances(rng, 1000)):
             # raises if the closed form's objective loses by more than 1e-9
-            worst = np.maximum(worst, verify_closed_form(p, alpha, alpha * tau, tol=1e-9))
+            worst = np.maximum(worst, verify_closed_form(P, A, B, tol=1e-9).max())
         elapsed = time.perf_counter() - start
         passed = worst <= 1e-6 and elapsed <= 30.0
         _report(1, "closed-form oracle equivalence", passed, f"max L-inf {worst:.2e}, {elapsed:.1f}s")

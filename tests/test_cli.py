@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process through `main`)."""
 
+import importlib.util
 import json
 import math
 import os
@@ -72,6 +73,14 @@ QUICK_CHECKS = [
 ]
 
 
+def perfbench_checks():
+    """The benchmark's output checks (`perfbench/checks.py`), loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", os.path.join(REPO_ROOT, "perfbench", "checks.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def verify_rows(out):
     """(name, status, detail) of each check line of `labo verify` stdout, and its last line."""
     *lines, last = out.splitlines()
@@ -104,6 +113,20 @@ class TestVerifyCommand:
         assert main(["verify", "--quick"]) == 1
         status, detail = {name: (status, detail) for name, status, detail in verify_rows(capsys.readouterr().out)[0]}[check]
         assert status == "FAIL" and message in detail
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["passing", "inverted-exponent"])
+    def test_json_lists_the_checks_of_the_text_mode(self, capsys, monkeypatch, mutated):
+        if mutated:
+            wrong = smoothing_mod.labo_optimal_smoothing
+            monkeypatch.setattr(smoothing_mod, "labo_optimal_smoothing", lambda p, tau: wrong(p, 1.0 / tau))
+        text_code = main(["verify", "--quick"])
+        rows, _ = verify_rows(capsys.readouterr().out)
+        json_code = main(["verify", "--quick", "--json"])
+        results = json.loads(capsys.readouterr().out)
+        assert json_code == text_code == (1 if mutated else 0)
+        assert [r["name"] for r in results] == list(perfbench_checks().VERIFY_CHECKS)
+        assert [(r["name"], "PASS" if r["passed"] else "FAIL", r["detail"]) for r in results] == rows
+        assert all(set(r) == {"name", "passed", "detail", "seconds"} and r["seconds"] >= 0 for r in results)
 
 
 class TestTrainCommand:
@@ -161,7 +184,6 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert missing in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_runs_are_recorded_and_do_not_stop_others(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path, modes=["none"], seeds=[1, 2])
         doc = json.loads(Path(cfg_path).read_text())
@@ -173,8 +195,8 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["none"]["failures"]) == 2
         assert "step" in summary["none"]["failures"][0]["error"]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_teacher_run_failure_is_an_error_line(self, tmp_path, capsys):
         doc = json.loads(Path(small_config(tmp_path)).read_text())
         doc["train"]["lr"] = 1e12  # guaranteed numeric blow-up
@@ -182,7 +204,9 @@ class TestTrainCommand:
         broken.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["teacher", "--config", str(broken), "--out", str(out)]) == 1
-        assert "error: teacher run failed: FloatingPointError: non-finite training loss at step" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: teacher run failed: FloatingPointError: non-finite training loss at step" in err
+        assert "RuntimeWarning" not in err
         assert not (out / "teacher.checkpoint.json").exists()
 
     def test_teacher_then_kd_pipeline(self, tmp_path):

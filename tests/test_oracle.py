@@ -5,6 +5,8 @@ optimal smoothing; these tests also certify the solver itself (limit
 cases, interior iterates, initialization invariance, Hessian structure).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from labo.oracle import (
     verify_closed_form,
 )
 from labo.smoothing import labo_optimal_smoothing
-from conftest import interior_simplex
+from conftest import by_class_count, closed_form_instances, interior_simplex
 
 LABO_721_TAU2 = [0.52287938300786971, 0.27949078654617094, 0.19762983044595936]
 
@@ -88,12 +90,8 @@ class TestVerifyClosedForm:
     def test_sweep_over_random_instances(self):
         rng = np.random.default_rng(42)
         worst = 0.0
-        for _ in range(200):
-            num_classes = int(rng.choice([2, 3, 10, 50]))
-            p = interior_simplex(rng, num_classes)
-            tau = rng.uniform(1.05, 20.0)
-            alpha = rng.uniform(0.3, 1.0)
-            worst = np.maximum(worst, verify_closed_form(p, alpha, alpha * tau))
+        for P, A, B in by_class_count(closed_form_instances(rng, 200)):
+            worst = np.maximum(worst, verify_closed_form(P, A, B).max())
         assert worst <= 1e-6
 
     def test_unit_ratio_distance(self):
@@ -139,6 +137,84 @@ class TestVerifyClosedForm:
             oracle_mod.verify_closed_form([0.7, 0.2, 0.1], 1.0, 2.0)
 
 
+class TestBatch:
+    def test_rows_match_their_single_solves(self):
+        """Each row of a batch takes the iterates of its own n = 1 solve."""
+        instances = closed_form_instances(np.random.default_rng(11), 200)
+        groups = list(by_class_count(instances))
+        assert [P.shape[1] for P, _, _ in groups] == [2, 3, 10, 50]
+        worst = 0.0
+        for P, A, B in groups:
+            batch = solve_inner_numeric(P, A, B, tol=1e-14)
+            singles = [solve_inner_numeric(p, a, b, tol=1e-14) for p, a, b in zip(P, A, B)]
+            assert batch.converged is True and all(s.converged for s in singles)
+            assert type(batch.iterations) is int and batch.iterations == max(s.iterations for s in singles)
+            worst = max(worst, max(np.abs(row - s.argmin).max() for row, s in zip(batch.argmin, singles)))
+            np.testing.assert_array_equal(batch.objective_at_argmin, [s.objective_at_argmin for s in singles])
+        assert worst <= 1e-12
+
+    def test_row_started_at_its_optimum_freezes(self, monkeypatch):
+        """A row whose first step is within tol is left out of every later sweep."""
+        P = np.array([[0.7, 0.2, 0.1], [0.5, 0.3, 0.2], [0.6, 0.3, 0.1]])
+        alpha, beta = 0.8, 2.0
+        star = labo_optimal_smoothing(P[0], beta / alpha)
+        rows_per_sweep = []
+        original = oracle_mod.inner_gradient
+
+        def spy(x, p, a, b):
+            rows_per_sweep.append(x.shape[0])
+            return original(x, p, a, b)
+
+        monkeypatch.setattr(oracle_mod, "inner_gradient", spy)
+        batch = solve_inner_numeric(P, alpha, beta, init=[star, uniform(3), uniform(3)])
+        sweeps = rows_per_sweep.copy()
+        alone = solve_inner_numeric(P[0], alpha, beta, init=star)
+        assert batch.converged and alone.converged and alone.iterations == 1
+        assert batch.argmin[0].tolist() == alone.argmin.tolist()
+        assert sweeps[0] == 3 and max(sweeps[1:]) == 2 and batch.iterations == len(sweeps) > 1
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ([0.5, 0.5, 0.0], "row 1: inner problem requires strictly positive p"),
+            ([0.5, 0.3, 0.1], "row 1: probability vector sums to"),
+            ([0.5, 0.5], "row 1: has 2 entries, expected 3"),
+        ],
+        ids=["zero-entry", "wrong-sum", "wrong-shape"],
+    )
+    def test_bad_row_is_named(self, bad_row, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_inner_numeric([[0.7, 0.2, 0.1], bad_row, [0.2, 0.3, 0.5]], 1.0, 2.0)
+
+    def test_bad_beta_and_init_are_named(self):
+        P = np.array([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5]])
+        with pytest.raises(ValueError, match="row 1: beta must be positive, got 0.0"):
+            solve_inner_numeric(P, 1.0, [2.0, 0.0])
+        with pytest.raises(ValueError, match="row 1: initial point must be strictly positive"):
+            solve_inner_numeric(P, 1.0, 2.0, init=[uniform(3), [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=re.escape("initial point has shape (1, 3), expected (2, 3)")):
+            solve_inner_numeric(P, 1.0, 2.0, init=[uniform(3)])
+
+    def test_max_iter_too_small_for_one_row(self, monkeypatch):
+        P = np.array([[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])  # uniform rows start at their optimum
+        enough = solve_inner_numeric(P[0], 1.0, 2.0, tol=1e-14).iterations
+        assert enough < solve_inner_numeric(P[1], 1.0, 2.0, tol=1e-14).iterations
+
+        def short_solver(*args, **kwargs):
+            kwargs["max_iter"] = enough
+            return solve_inner_numeric(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "solve_inner_numeric", short_solver)
+        with pytest.raises(RuntimeError, match=f"row 1: inner solver did not converge within {enough} iterations"):
+            oracle_mod.verify_closed_form(P, 1.0, 2.0)
+
+    def test_losing_row_is_named(self, monkeypatch):
+        """The inverted exponent leaves a uniform p's optimum alone, so only row 1 loses."""
+        monkeypatch.setattr("labo.smoothing.labo_optimal_smoothing", lambda p, tau: labo_optimal_smoothing(p, 1.0 / tau))
+        with pytest.raises(RuntimeError, match="row 1: closed form lost"):
+            verify_closed_form(np.array([[0.5, 0.5], [0.7, 0.3]]), 1.0, 2.0)
+
+
 class TestIndependence:
     def test_oracle_never_calls_the_closed_form(self, monkeypatch):
         """The solver and the Hessian check still work with every closed-form
@@ -158,6 +234,12 @@ class TestIndependence:
         report = solve_inner_numeric(p, alpha, beta, tol=1e-14)
         assert report.converged
         np.testing.assert_allclose(report.argmin, expected, rtol=0, atol=1e-6)
+        P, alphas, betas = np.array([p, interior_simplex(rng, 5)]), np.array([alpha, 0.3]), np.array([beta, 0.9])
+        expected = P ** (alphas / betas)[:, None]
+        expected /= expected.sum(axis=1, keepdims=True)
+        batch = solve_inner_numeric(P, alphas, betas, tol=1e-14)
+        assert batch.converged
+        np.testing.assert_allclose(batch.argmin, expected, rtol=0, atol=1e-6)
         assert hessian_check(p, beta) <= 1e-4
 
 

@@ -193,7 +193,6 @@ class TestLossBehaviour:
         )
         assert reports[-1].train_loss < reports[0].train_loss
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_aborts_with_step_index(self, small_blobs):
         model = MlpModel([2, 16, 3], seed=1)
         with pytest.raises(FloatingPointError, match="step"):
