@@ -11,11 +11,11 @@ def interior_simplex(rng, num_classes: int, floor_mix: float = 0.05) -> np.ndarr
     return (1.0 - floor_mix) * p + floor_mix / num_classes
 
 
-def closed_form_instances(rng, n: int, class_counts=(2, 3, 10, 50)) -> list:
+def closed_form_instances(rng, n: int) -> list:
     """n seeded (p, alpha, beta) instances of the closed-form/solver sweep, in draw order."""
     instances = []
     for _ in range(n):
-        num_classes = int(rng.choice(class_counts))
+        num_classes = int(rng.choice([2, 3, 10, 50]))
         p = interior_simplex(rng, num_classes)
         tau = rng.uniform(1.05, 20.0)
         alpha = rng.uniform(0.3, 1.0)
