@@ -4,7 +4,7 @@ Each check exercises one analytic claim the library relies on (closed-form
 optimality, the temperature identity, the distillation decomposition, the
 Hessian structure, gradient correctness including the detached-label
 training gradient) against an independent numeric route: the exponentiated
-gradient solver, high-order finite differences, or direct double
+gradient solver, central finite differences at h = 1e-5, or direct double
 evaluation. All randomness is seeded, so a pass/fail outcome is stable.
 """
 
@@ -72,12 +72,10 @@ def _interior_simplex(rng, num_classes: int, floor_mix: float = 0.05) -> np.ndar
 
 
 def _fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+    """Central differences of `f` at `x`: `f` maps the (2n, n) stack of rows x + h*e_i, then x - h*e_i, to 2n values."""
+    step = h * np.eye(x.size)
+    values = f(np.concatenate([x + step, x - step]))
+    return (values[: x.size] - values[x.size :]) / (2.0 * h)
 
 
 def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
@@ -85,24 +83,30 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
     return np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd), 1e-12)
 
 
-def _fd_vs_backprop(rng, label, loss=None):
+def _stacked_logits(layer_sizes, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Logits at input `x` of the MLP with each row of `thetas` as its flat parameters (`MlpModel.theta` layout)."""
+    a, offset = x[None, None, :], 0
+    for li, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
+        W = thetas[:, offset : offset + fan_in * fan_out].reshape(-1, fan_in, fan_out)
+        offset += fan_in * fan_out
+        h = a @ W + thetas[:, None, offset : offset + fan_out]
+        offset += fan_out
+        a = h if li == len(layer_sizes) - 2 else np.maximum(h, 0.0)
+    return a[:, 0, :]
+
+
+def _fd_vs_backprop(rng, label, mode: str, cfg):
     """Relative L2 error of backprop against FD on a drawn 2-8-3 model, input and class k; and its logits z.
 
-    Backprop pushes the CE gradient of `label(k, z)`; FD differentiates
-    `loss(k, z)`, by default the CE against that label.
+    Backprop pushes the CE gradient of the per-instance `label(k, z)`; FD
+    differentiates the training loss, the rows of `batch_objective(mode, cfg)`
+    at all 2P perturbed parameter vectors in one stacked forward.
     """
     m = MlpModel([2, 8, 3], seed=int(rng.integers(1 << 30)))
     x = rng.normal(0.0, 1.0, size=2)
     k = int(rng.integers(3))
-    theta0 = m.params_flat()
-    loss = loss or (lambda k, z: objectives.smoothed_ce(label(k, z), z))
-
-    def f(theta):
-        m.set_params_flat(theta)
-        return loss(k, m.forward(x))
-
-    fd = _fd_grad(f, theta0)
-    m.set_params_flat(theta0)
+    ks = np.full(2 * m.theta.size, k)
+    fd = _fd_grad(lambda T: objectives.batch_objective(ks, _stacked_logits(m.layer_sizes, T, x), mode, cfg)[2], m.theta)
     z = m.forward(x)
     return _rel_err(fd, m.backward(objectives.grad_wrt_logits(label(k, z), z))), z
 
@@ -163,29 +167,23 @@ def _hessian_diagonal(rng, i):
 
 
 def _model_gradients(rng, i):
-    return _fd_vs_backprop(rng, lambda k, z: smoothing.uniform_smooth(k, 3, 0.1))[0]
+    cfg = smoothing.SmoothingConfig(alpha=0.1)
+    return _fd_vs_backprop(rng, lambda k, z: smoothing.uniform_smooth(k, 3, cfg.alpha), "ls", cfg)[0]
 
 
 def _zero_hypergradient(rng, i):
-    """Detached-label gradient vs finite differences of the full pipeline.
+    """Detached-label gradient vs finite differences of the full training loss.
 
-    The full objective recomputes the optimal smoothing (and the KL term)
+    The `labo` loss rows recompute the optimal smoothing (and the KL term)
     from the perturbed logits; agreement shows the gradient through the
     inner solution contributes nothing.
     """
     alpha, tau = 0.4, 1.25
-    beta = alpha * tau
-
-    def label(k, z):
-        return smoothing.mix_label(k, smoothing.labo_from_logits(z, tau), alpha)
-
-    def full(k, z):
-        return objectives.unified_objective(k, z, smoothing.labo_from_logits(z, tau), alpha, beta).total
-
-    rel, z = _fd_vs_backprop(rng, label, full)
+    rel, z = _fd_vs_backprop(rng, lambda k, z: smoothing.mix_label(k, smoothing.labo_from_logits(z, tau), alpha),
+                             "labo", smoothing.SmoothingConfig(alpha=alpha, tau=tau))
     # unconstrained gradient w.r.t. the smoothing distribution must be
     # a multiple of the all-ones vector, i.e. zero on the simplex tangent
-    g_pstar = oracle.inner_gradient(smoothing.labo_from_logits(z, tau), numerics.softmax(z), alpha, beta)
+    g_pstar = oracle.inner_gradient(smoothing.labo_from_logits(z, tau), numerics.softmax(z), alpha, alpha * tau)
     return rel, float(np.linalg.norm(g_pstar - g_pstar.mean()))
 
 
@@ -194,7 +192,7 @@ def _cp_gradient(rng, i):
     z = rng.normal(0.0, 3.0, size=num_classes)
     k = int(rng.integers(num_classes))
     beta_cp = rng.uniform(0.0, 1.0)
-    fd = _fd_grad(lambda zz: objectives.cp_loss(k, zz, beta_cp), z)
+    fd = _fd_grad(lambda Z: np.array([objectives.cp_loss(k, zz, beta_cp) for zz in Z]), z)
     return _rel_err(fd, objectives.cp_grad_wrt_logits(k, z, beta_cp))
 
 

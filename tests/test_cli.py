@@ -1,9 +1,11 @@
 """End-to-end command-line tests (in-process through `main`)."""
 
+import dataclasses
 import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,14 +107,18 @@ class TestVerifyCommand:
             # a NaN on every instance, which a running `max(worst, x)` drops
             (objectives_mod, "kd_decomposition_residual", lambda f: lambda *args: math.nan, "kd-decomposition",
              "AssertionError: kd decomposition residual nan > 1e-10"),
+            # the training loss's tau off by 1% while the per-instance label keeps it
+            (objectives_mod, "batch_objective",
+             lambda f: lambda ks, Z, mode, cfg, *a: f(ks, Z, mode, dataclasses.replace(cfg, tau=cfg.tau * 1.01), *a),
+             "zero-hypergradient", r"AssertionError: hypergradient relative error \d\.\d{3}e-\d\d > 0\.0001$"),
         ],
-        ids=["inverted-exponent", "nan-kd-residual"],
+        ids=["inverted-exponent", "nan-kd-residual", "training-loss-tau"],
     )
     def test_detects_mutation(self, capsys, monkeypatch, module, name, mutate, check, message):
         monkeypatch.setattr(module, name, mutate(getattr(module, name)))
         assert main(["verify", "--quick"]) == 1
         status, detail = {name: (status, detail) for name, status, detail in verify_rows(capsys.readouterr().out)[0]}[check]
-        assert status == "FAIL" and message in detail
+        assert status == "FAIL" and re.search(message, detail), detail
 
     @pytest.mark.parametrize("mutated", [False, True], ids=["passing", "inverted-exponent"])
     def test_json_lists_the_checks_of_the_text_mode(self, capsys, monkeypatch, mutated):
