@@ -65,7 +65,7 @@ class Dataset:
         return self.features[idx], self.labels[idx]
 
 
-def stratified_splits(labels: np.ndarray, fractions=(0.8, 0.1, 0.1)) -> dict[str, np.ndarray]:
+def stratified_splits(labels: np.ndarray) -> dict[str, np.ndarray]:
     """Per-class contiguous 80/10/10 partition into train/val/test.
 
     Deterministic: indices are taken in dataset order within each class.
@@ -75,8 +75,8 @@ def stratified_splits(labels: np.ndarray, fractions=(0.8, 0.1, 0.1)) -> dict[str
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         n = idx.size
-        n_train = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
+        n_train = int(round(0.8 * n))
+        n_val = int(round(0.1 * n))
         out["train"].append(idx[:n_train])
         out["val"].append(idx[n_train : n_train + n_val])
         out["test"].append(idx[n_train + n_val :])

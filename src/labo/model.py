@@ -41,6 +41,10 @@ class MlpModel:
         self.layer_sizes = layer_sizes
         self.seed = seed
         self.theta = np.zeros(param_count(layer_sizes))
+        self._layout, end = [], 0  # per layer: weight slice, weight shape, bias slice of `theta`
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            start, end = end, end + (fan_in + 1) * fan_out
+            self._layout.append((slice(start, end - fan_out), (fan_in, fan_out), slice(end - fan_out, end)))
         self.weights, self.biases = self._views(self.theta)
         if init:
             rng = np.random.default_rng(seed)
@@ -50,13 +54,11 @@ class MlpModel:
         self._cache = None
 
     def _views(self, flat: np.ndarray):
-        weights, biases = [], []
-        offset = 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-            offset += fan_in * fan_out
-            biases.append(flat[offset : offset + fan_out])
-            offset += fan_out
+        """Weight and bias views of `flat`: one vector in `theta`'s layout, or a stack of them along the last axis."""
+        lead, weights, biases = flat.shape[:-1], [], []
+        for w, shape, b in self._layout:
+            weights.append(flat[..., w].reshape(lead + shape))
+            biases.append(flat[..., b])
         return tuple(weights), tuple(biases)
 
     @property
@@ -119,16 +121,6 @@ class MlpModel:
         clone = MlpModel(self.layer_sizes, seed=self.seed, init=False)
         clone.theta[...] = self.theta
         return clone
-
-    def params_flat(self) -> np.ndarray:
-        """All parameters as one vector with `theta`'s layout (copy)."""
-        return self.theta.copy()
-
-    def set_params_flat(self, vec: np.ndarray) -> None:
-        """Overwrite `theta` in place; a wrongly shaped `vec` changes nothing."""
-        if np.shape(vec) != self.theta.shape:
-            raise ValueError(f"parameter vector shape {np.shape(vec)}, expected {self.theta.shape}")
-        self.theta[...] = vec
 
 
 class SgdOptimizer:

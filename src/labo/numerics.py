@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "check_logits",
     "check_prob_vec",
+    "check_class_index",
     "uniform",
     "onehot",
     "softmax",
@@ -59,6 +60,12 @@ def check_prob_vec(p) -> np.ndarray:
     return p
 
 
+def check_class_index(k, num_classes: int) -> None:
+    """Validate a class index: 0 <= k < num_classes."""
+    if not 0 <= k < num_classes:
+        raise ValueError(f"class index {k} out of range [0, {num_classes})")
+
+
 def uniform(num_classes: int) -> np.ndarray:
     """Uniform distribution over `num_classes` classes."""
     if num_classes < 2:
@@ -70,8 +77,7 @@ def onehot(k: int, num_classes: int) -> np.ndarray:
     """One-hot vector with unit mass on class `k`."""
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
-    if not 0 <= k < num_classes:
-        raise ValueError(f"class index {k} out of range [0, {num_classes})")
+    check_class_index(k, num_classes)
     e = np.zeros(num_classes)
     e[k] = 1.0
     return e

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import check_prob_vec, onehot, uniform
+from .numerics import check_class_index, check_prob_vec, onehot, uniform
 from .smoothing import SmoothedLabel, SmoothingConfig, mix_label
 
 __all__ = [
@@ -75,6 +75,7 @@ def cp_loss(k: int, z, beta_cp: float) -> float:
     if beta_cp < 0:
         raise ValueError(f"beta_cp must be >= 0, got {beta_cp}")
     logp = numerics.log_softmax(z)
+    check_class_index(k, logp.shape[0])
     return float(-logp[k] + beta_cp * (np.exp(logp) * logp).sum())
 
 
@@ -103,6 +104,7 @@ def kd_loss(k: int, z, teacher_p, alpha: float) -> float:
     logp = numerics.log_softmax(z)
     if teacher_p.shape != logp.shape:
         raise ValueError(f"shape mismatch: teacher {teacher_p.shape} vs logits {logp.shape}")
+    check_class_index(k, logp.shape[0])
     mask = teacher_p > 0
     kl = (teacher_p[mask] * (np.log(teacher_p[mask]) - logp[mask])).sum()
     return float((1.0 - alpha) * -logp[k] + alpha * kl)

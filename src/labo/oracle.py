@@ -85,6 +85,8 @@ def solve_inner_numeric(
     A, B = (np.broadcast_to(np.asarray(v, dtype=np.float64), (n,)) for v in (alpha, beta))
     for i in np.flatnonzero(~(B > 0))[:1]:  # the first row with a bad beta
         raise ValueError(f"{where.format(i)}beta must be positive, got {B[i] if where else beta}")
+    for i in np.flatnonzero(~np.isfinite(A))[:1]:
+        raise ValueError(f"{where.format(i)}alpha must be finite, got {A[i] if where else alpha}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     X = np.tile(uniform(num_classes), (n, 1))
@@ -125,6 +127,8 @@ def verify_closed_form(p, alpha, beta, tol: float = 1e-9):
     X, objective = np.atleast_2d(report.argmin), np.atleast_1d(report.objective_at_argmin).tolist()
     P = np.reshape(np.asarray(p, dtype=np.float64), X.shape)
     A, B = (np.broadcast_to(np.asarray(v, dtype=np.float64), len(X)).tolist() for v in (alpha, beta))
+    for i in [i for i, a in enumerate(A) if not a > 0][:1]:
+        raise ValueError(f"{where.format(i)}alpha must be positive (tau = beta / alpha), got {A[i]}")
     if not report.converged:  # a row takes the same iterates alone as in the batch
         i = next(i for i, q in enumerate(P) if not where or not solve_inner_numeric(q, A[i], B[i], tol=1e-14).converged)
         raise RuntimeError(f"{where.format(i)}inner solver did not converge within {report.iterations} iterations")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import check_logits, check_prob_vec, onehot, uniform
+from .numerics import check_class_index, check_logits, check_prob_vec, onehot, uniform
 from .schema import MODES, SMOOTHING, Config
 
 __all__ = [
@@ -76,8 +76,7 @@ def mix_label(k: int, p_ls, alpha: float) -> SmoothedLabel:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     p_ls = check_prob_vec(p_ls)
-    if not 0 <= k < p_ls.shape[0]:
-        raise ValueError(f"class index {k} out of range [0, {p_ls.shape[0]})")
+    check_class_index(k, p_ls.shape[0])
     dist = alpha * p_ls
     dist[k] += 1.0 - alpha
     return SmoothedLabel(target=k, alpha_used=alpha, dist=dist)
@@ -143,4 +142,7 @@ def build_label(k: int, z, mode: str, cfg: SmoothingConfig, teacher_p=None) -> S
         return uniform_smooth(k, num_classes, cfg.alpha)
     if teacher_p is None:
         raise ValueError("kd mode requires teacher_p")
+    teacher_p = check_prob_vec(teacher_p)
+    if teacher_p.shape != (num_classes,):
+        raise ValueError(f"shape mismatch: teacher {teacher_p.shape} vs logits {(num_classes,)}")
     return mix_label(k, teacher_p, cfg.alpha)

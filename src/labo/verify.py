@@ -83,15 +83,13 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
     return np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd), 1e-12)
 
 
-def _stacked_logits(layer_sizes, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Logits at input `x` of the MLP with each row of `thetas` as its flat parameters (`MlpModel.theta` layout)."""
-    a, offset = x[None, None, :], 0
-    for li, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-        W = thetas[:, offset : offset + fan_in * fan_out].reshape(-1, fan_in, fan_out)
-        offset += fan_in * fan_out
-        h = a @ W + thetas[:, None, offset : offset + fan_out]
-        offset += fan_out
-        a = h if li == len(layer_sizes) - 2 else np.maximum(h, 0.0)
+def _stacked_logits(m: MlpModel, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Logits at input `x` of model `m` with each row of `thetas` in place of its `theta`."""
+    weights, biases = m._views(thetas)
+    a = x[None, None, :]
+    for li, (W, b) in enumerate(zip(weights, biases)):
+        h = a @ W + b[:, None, :]
+        a = h if li == len(weights) - 1 else np.maximum(h, 0.0)
     return a[:, 0, :]
 
 
@@ -106,7 +104,7 @@ def _fd_vs_backprop(rng, label, mode: str, cfg):
     x = rng.normal(0.0, 1.0, size=2)
     k = int(rng.integers(3))
     ks = np.full(2 * m.theta.size, k)
-    fd = _fd_grad(lambda T: objectives.batch_objective(ks, _stacked_logits(m.layer_sizes, T, x), mode, cfg)[2], m.theta)
+    fd = _fd_grad(lambda T: objectives.batch_objective(ks, _stacked_logits(m, T, x), mode, cfg)[2], m.theta)
     z = m.forward(x)
     return _rel_err(fd, m.backward(objectives.grad_wrt_logits(label(k, z), z))), z
 

@@ -156,10 +156,10 @@ def test_criterion_5_zero_hypergradient():
         m = MlpModel([2, 8, 3], seed=int(rng.integers(1 << 30)))
         x = rng.normal(size=2)
         k = int(rng.integers(3))
-        theta0 = m.params_flat()
+        theta0 = m.theta.copy()
 
         def full(theta):
-            m.set_params_flat(theta)
+            m.theta[...] = theta
             z = m.forward(x)
             return unified_objective(k, z, labo_from_logits(z, tau), alpha, beta).total
 
@@ -168,7 +168,7 @@ def test_criterion_5_zero_hypergradient():
             e = np.zeros_like(theta0)
             e[i] = h
             fd[i] = (full(theta0 + e) - full(theta0 - e)) / (2 * h)
-        m.set_params_flat(theta0)
+        m.theta[...] = theta0
         z = m.forward(x)
         p_star = labo_from_logits(z, tau)
         analytic = m.backward(grad_wrt_logits(mix_label(k, p_star, alpha), z))
@@ -216,17 +216,17 @@ def test_criterion_7_model_gradient_gate():
             Z = np.atleast_2d(m.forward(X))
             return float(np.mean([smoothed_ce(lbl, z) for lbl, z in zip(labels, Z)]))
 
-        theta0 = m.params_flat()
+        theta0 = m.theta.copy()
         fd = np.empty_like(theta0)
         for i in range(theta0.size):
             e = np.zeros_like(theta0)
             e[i] = h
-            m.set_params_flat(theta0 + e)
+            m.theta[...] = theta0 + e
             up = loss()
-            m.set_params_flat(theta0 - e)
+            m.theta[...] = theta0 - e
             down = loss()
             fd[i] = (up - down) / (2 * h)
-        m.set_params_flat(theta0)
+        m.theta[...] = theta0
         Z = np.atleast_2d(m.forward(X))
         G = np.stack([grad_wrt_logits(lbl, z) for lbl, z in zip(labels, Z)]) / batch
         m.forward(X)
@@ -256,13 +256,13 @@ def test_criterion_8_warmup_equivalence(blobs):
 
     def capture(step, model):
         if step == t_w:
-            snapshot["params"] = model.params_flat()
+            snapshot["params"] = model.theta.copy()
 
     labo_model = MlpModel([2, 32, 3], seed=21)
     run_training(labo_model, blobs, TrainConfig(steps=600, warmup=t_w, mode="labo", **base), step_callback=capture)
     ls_model = MlpModel([2, 32, 3], seed=21)
     run_training(ls_model, blobs, TrainConfig(steps=t_w, warmup=0, mode="ls", **base))
-    identical = bool(np.array_equal(snapshot["params"], ls_model.params_flat()))
+    identical = bool(np.array_equal(snapshot["params"], ls_model.theta))
     _report(8, "warm-up equivalence", identical, f"first {t_w} steps bit-identical: {identical}")
     assert identical
 

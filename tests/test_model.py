@@ -14,17 +14,17 @@ GOLDEN_LOGITS = [1.8784433810835854, -2.2070295031015386, 1.8294297133292632]
 
 def fd_param_grads(model, f, h=1e-5):
     """Central finite differences of f() with respect to every parameter."""
-    theta = model.params_flat()
+    theta = model.theta.copy()
     g = np.empty_like(theta)
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = h
-        model.set_params_flat(theta + e)
+        model.theta[...] = theta + e
         up = f()
-        model.set_params_flat(theta - e)
+        model.theta[...] = theta - e
         down = f()
         g[i] = (up - down) / (2 * h)
-    model.set_params_flat(theta)
+    model.theta[...] = theta
     return g
 
 
@@ -141,10 +141,10 @@ class TestSgdStep:
 
     def test_zero_gradient_is_identity_without_decay(self):
         m = MlpModel([2, 3], seed=9)
-        before = m.params_flat()
+        before = m.theta.copy()
         opt = SgdOptimizer(m, lr=0.1, momentum=0.9, weight_decay=0.0)
         opt.step(m, np.zeros(9))
-        np.testing.assert_array_equal(m.params_flat(), before)
+        np.testing.assert_array_equal(m.theta, before)
 
     def test_momentum_recursion(self):
         """Unit gradient twice at momentum 0.9: steps of 0.1 then 0.19."""
@@ -276,7 +276,7 @@ class TestDeterminism:
     def test_same_seed_same_parameters(self):
         a = MlpModel([4, 16, 3], seed=77)
         b = MlpModel([4, 16, 3], seed=77)
-        np.testing.assert_array_equal(a.params_flat(), b.params_flat())
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_copy_is_deep(self):
         a = MlpModel([2, 3], seed=1)
@@ -292,15 +292,15 @@ class TestFlatParameters:
         m = MlpModel([3, 5, 4], seed=4)
         m.forward(np.ones((2, 3)))
         SgdOptimizer(m, lr=0.1).step(m, m.backward(np.ones((2, 4))))
-        np.testing.assert_array_equal(m.params_flat(), views_flat(m))
+        np.testing.assert_array_equal(m.theta, views_flat(m))
         path = tmp_path / "model.json"
         save_checkpoint(m, str(path))
         loaded = load_checkpoint(str(path))
-        np.testing.assert_array_equal(loaded.params_flat(), views_flat(loaded))
-        np.testing.assert_array_equal(loaded.params_flat(), m.params_flat())
+        np.testing.assert_array_equal(loaded.theta, views_flat(loaded))
+        np.testing.assert_array_equal(loaded.theta, m.theta)
         clone = m.copy()
-        np.testing.assert_array_equal(clone.params_flat(), views_flat(clone))
-        np.testing.assert_array_equal(clone.params_flat(), m.params_flat())
+        np.testing.assert_array_equal(clone.theta, views_flat(clone))
+        np.testing.assert_array_equal(clone.theta, m.theta)
 
     def test_views_cannot_be_rebound(self):
         m = MlpModel([3, 3], seed=0)
@@ -308,14 +308,6 @@ class TestFlatParameters:
             m.weights[0] = np.eye(3)
         with pytest.raises(TypeError):
             m.biases[0] = np.zeros(3)
-
-    @pytest.mark.parametrize("size", [0, 25, 27])
-    def test_wrongly_sized_vector_changes_nothing(self, size):
-        m = MlpModel([2, 5, 3], seed=1)  # 26 parameters
-        before = m.params_flat()
-        with pytest.raises(ValueError, match="shape"):
-            m.set_params_flat(np.full(size, 7.0))
-        np.testing.assert_array_equal(m.theta, before)
 
     def test_copy_shares_no_memory(self):
         a = MlpModel([2, 4, 3], seed=1)

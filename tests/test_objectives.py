@@ -6,6 +6,7 @@ checked by evaluating both sides independently.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,19 @@ class TestKdLoss:
         KL([0.5, 0.5] || p) = 0.5 * 1000 - log 2."""
         loss = kd_loss(1, [0.0, 1000.0], [0.5, 0.5], 0.3)
         assert loss == pytest.approx(0.3 * (500.0 - math.log(2.0)), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [lambda k: cp_loss(k, [1.0, 0.0], 0.1), lambda k: cp_grad_wrt_logits(k, [1.0, 0.0], 0.1),
+     lambda k: kd_loss(k, [1.0, 0.0], [0.5, 0.5], 0.3)],
+    ids=["cp_loss", "cp_grad_wrt_logits", "kd_loss"],
+)
+@pytest.mark.parametrize("k", [-1, 2])
+def test_class_index_out_of_range_is_rejected(loss, k):
+    """k = -1 must not read the last class, k = K must not escape as an IndexError."""
+    with pytest.raises(ValueError, match=re.escape(f"class index {k} out of range [0, 2)")):
+        loss(k)
 
 
 class TestKdDecomposition:

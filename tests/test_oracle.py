@@ -136,6 +136,14 @@ class TestVerifyClosedForm:
         with pytest.raises(RuntimeError, match="converge"):
             oracle_mod.verify_closed_form([0.7, 0.2, 0.1], 1.0, 2.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_rejects_non_positive_alpha(self, alpha):
+        """tau = beta / alpha has no value there."""
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be positive (tau = beta / alpha), got {alpha}")):
+            verify_closed_form([0.7, 0.2, 0.1], alpha, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"row 1: alpha must be positive (tau = beta / alpha), got {alpha}")):
+            verify_closed_form([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5]], [1.0, alpha], 1.0)
+
 
 class TestBatch:
     def test_rows_match_their_single_solves(self):
@@ -194,6 +202,17 @@ class TestBatch:
             solve_inner_numeric(P, 1.0, 2.0, init=[uniform(3), [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=re.escape("initial point has shape (1, 3), expected (2, 3)")):
             solve_inner_numeric(P, 1.0, 2.0, init=[uniform(3)])
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_is_rejected_before_any_sweep(self, alpha, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the solver swept with a non-finite alpha")
+
+        monkeypatch.setattr(oracle_mod, "inner_gradient", no_sweep)
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+            solve_inner_numeric([0.7, 0.2, 0.1], alpha, 2.0)
+        with pytest.raises(ValueError, match=f"^row 1: alpha must be finite, got {alpha}$"):
+            solve_inner_numeric([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5]], [1.0, alpha], 2.0)
 
     def test_max_iter_too_small_for_one_row(self, monkeypatch):
         P = np.array([[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])  # uniform rows start at their optimum

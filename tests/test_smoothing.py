@@ -4,6 +4,7 @@ Derived expectations frozen from a 50-digit mpmath evaluation.
 """
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -258,6 +259,11 @@ class TestBuildLabel:
             build_label(0, [1.0, 0.0], "kd", cfg)
         label = build_label(0, [1.0, 0.0], "kd", cfg, teacher_p=[0.8, 0.2])
         np.testing.assert_allclose(label.dist, [0.9, 0.1], atol=1e-15)
+
+    def test_kd_rejects_a_teacher_of_another_length(self):
+        """The same pair that kd_loss rejects: 3 teacher classes for 2 logits."""
+        with pytest.raises(ValueError, match=re.escape("shape mismatch: teacher (3,) vs logits (2,)")):
+            build_label(0, [1.0, 0.0], "kd", SmoothingConfig(alpha=0.5), teacher_p=[0.2, 0.3, 0.5])
 
     def test_returns_fresh_arrays(self):
         cfg = SmoothingConfig(alpha=0.1)

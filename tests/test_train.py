@@ -65,14 +65,14 @@ class TestWarmupEquivalence:
 
         def capture(step, model):
             if step == t_w:
-                snapshots["labo"] = model.params_flat()
+                snapshots["labo"] = model.theta.copy()
 
         labo_model = MlpModel([2, 16, 3], seed=5)
         run_training(labo_model, small_blobs, make_cfg(mode="labo", steps=120, warmup=t_w, seed=5), step_callback=capture)
 
         ls_model = MlpModel([2, 16, 3], seed=5)
         run_training(ls_model, small_blobs, make_cfg(mode="ls", steps=t_w, seed=5))
-        np.testing.assert_array_equal(snapshots["labo"], ls_model.params_flat())
+        np.testing.assert_array_equal(snapshots["labo"], ls_model.theta)
 
     def test_full_warmup_run_equals_ls_reports(self, small_blobs):
         """warmup == steps turns the run into a uniform-LS run outright."""
@@ -92,7 +92,7 @@ class TestWarmupEquivalence:
         for warmup in (0, 60):
             model = MlpModel([2, 16, 3], seed=3)
             run_training(model, small_blobs, make_cfg(mode=mode, steps=80, warmup=warmup, seed=3), teacher=teacher)
-            params.append(model.params_flat())
+            params.append(model.theta.copy())
         np.testing.assert_array_equal(params[0], params[1])
 
 
@@ -103,7 +103,7 @@ class TestDeterminismAndDetachment:
             model = MlpModel([2, 16, 3], seed=2)
             _, r = run_training(model, small_blobs, make_cfg(mode="labo", warmup=30, seed=2))
             reports.append(r)
-            params.append(model.params_flat())
+            params.append(model.theta.copy())
         assert reports[0] == reports[1]
         np.testing.assert_array_equal(params[0], params[1])
 
@@ -117,7 +117,7 @@ class TestDeterminismAndDetachment:
 
         none_model = MlpModel([2, 16, 3], seed=4)
         run_training(none_model, small_blobs, make_cfg(mode="none", seed=4))
-        np.testing.assert_array_equal(kd_model.params_flat(), none_model.params_flat())
+        np.testing.assert_array_equal(kd_model.theta, none_model.theta)
 
     def test_none_mode_reports_zero_alpha(self, small_blobs):
         model = MlpModel([2, 16, 3], seed=1)
@@ -241,7 +241,7 @@ class TestTeacher:
         path = tmp_path / "teacher.json"
         teacher, _ = train_teacher(small_blobs, make_cfg(steps=50), checkpoint_path=str(path))
         loaded = load_checkpoint(str(path))
-        np.testing.assert_array_equal(loaded.params_flat(), teacher.params_flat())
+        np.testing.assert_array_equal(loaded.theta, teacher.theta)
         assert loaded.layer_sizes == [2, 64, 3]
 
 

@@ -12,16 +12,16 @@ from labo.objectives import cp_loss
 def test_stacked_forward_equals_one_model_per_row(layer_sizes):
     rng = np.random.default_rng(11)
     m = MlpModel(layer_sizes, seed=5)
-    theta0 = m.params_flat()
+    theta0 = m.theta.copy()
     x = rng.normal(0.0, 1.0, size=layer_sizes[0])
     step = 1e-5 * np.eye(theta0.size)
     thetas = np.concatenate([theta0 + step, theta0 - step, theta0 + rng.normal(0.0, 0.5, size=(8, theta0.size))])
 
-    stacked = verify._stacked_logits(layer_sizes, thetas, x)
+    stacked = verify._stacked_logits(m, thetas, x)
 
     assert stacked.shape == (len(thetas), layer_sizes[-1])
     for theta, row in zip(thetas, stacked):
-        m.set_params_flat(theta)
+        m.theta[...] = theta
         assert np.array_equal(row, m.forward(x))
 
 
