@@ -31,7 +31,7 @@ from .model import MlpModel, load_checkpoint, param_count, save_checkpoint
 from .objectives import unified_objective
 from .schema import DATASET_KINDS, DATASETS, EXPERIMENT, Config, check
 from .smoothing import SmoothingConfig, adaptive_alpha, labo_from_logits, mix_label
-from .train import TrainConfig, evaluate, run_training, train_teacher, write_reports_csv
+from .train import TrainConfig, evaluate, run_training, shape_mismatch, train_teacher, write_reports_csv
 from .verify import run_verification, VERIFY_SEED
 
 __all__ = ["ExperimentConfig", "build_dataset", "main", "entrypoint"]
@@ -106,15 +106,6 @@ def _load_experiment(path: str) -> tuple[ExperimentConfig, Dataset]:
     return cfg, data
 
 
-def _shape_mismatch(what: str, model: MlpModel, data: Dataset) -> str | None:
-    if model.input_dim == data.dim and model.num_classes == data.num_classes:
-        return None
-    return (
-        f"{what} expects {model.input_dim} features / {model.num_classes} classes, "
-        f"dataset has {data.dim} / {data.num_classes}"
-    )
-
-
 def cmd_train(args) -> int:
     cfg, data, out_dir = args.cfg, args.data, args.out
     n_params = param_count([data.dim, *cfg.hidden, data.num_classes])
@@ -131,7 +122,7 @@ def cmd_train(args) -> int:
             teacher = load_checkpoint(path)
         except (OSError, ValueError) as e:
             return _fail(f"teacher_checkpoint: {e}", 2)
-        mismatch = _shape_mismatch(f"teacher_checkpoint {path}", teacher, data)
+        mismatch = shape_mismatch(f"teacher_checkpoint {path}", teacher, data)
         if mismatch:
             return _fail(mismatch, 2)
     os.makedirs(out_dir, exist_ok=True)
@@ -238,7 +229,7 @@ def cmd_hist(args) -> int:
         model = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as e:
         return _fail(f"--checkpoint: {e}", 2)
-    mismatch = _shape_mismatch("checkpoint", model, data)
+    mismatch = shape_mismatch("checkpoint", model, data)
     if mismatch:
         return _fail(mismatch, 2)
     ev = evaluate(model, data, split=args.split)

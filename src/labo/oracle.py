@@ -85,8 +85,9 @@ def solve_inner_numeric(
     A, B = (np.broadcast_to(np.asarray(v, dtype=np.float64), (n,)) for v in (alpha, beta))
     for i in np.flatnonzero(~(B > 0))[:1]:  # the first row with a bad beta
         raise ValueError(f"{where.format(i)}beta must be positive, got {B[i] if where else beta}")
-    for i in np.flatnonzero(~np.isfinite(A))[:1]:
-        raise ValueError(f"{where.format(i)}alpha must be finite, got {A[i] if where else alpha}")
+    for name, v, given in (("beta", B, beta), ("alpha", A, alpha)):
+        for i in np.flatnonzero(~np.isfinite(v))[:1]:
+            raise ValueError(f"{where.format(i)}{name} must be finite, got {v[i] if where else given}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     X = np.tile(uniform(num_classes), (n, 1))
@@ -175,6 +176,8 @@ def hessian_check(p_ls, beta: float) -> float:
     p_ls = _rows(p_ls, "", "hessian check requires strictly positive p_ls")[0]
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     logp = np.log(p_ls)
 
     def f(x):

@@ -4,7 +4,10 @@ Each step: sample a mini-batch, run the forward pass, build training labels
 (during the labo warm-up: uniform label smoothing; otherwise: whatever the
 configured mode prescribes), take the mean logit gradient with the labels
 held fixed, backpropagate, and apply SGD. Labels are rebuilt from the
-current forward pass every step; nothing about them persists.
+current forward pass every step; nothing about them persists. The one
+exception is the frozen kd teacher: its log-probabilities for the training
+rows are computed once per run, before step 0, and each step gathers its
+batch's rows.
 
 The diagnostics mirror the usual overconfidence analysis: besides accuracy
 we track the mean probability assigned to the predicted class and its
@@ -34,6 +37,7 @@ __all__ = [
     "EvalResult",
     "evaluate",
     "run_training",
+    "shape_mismatch",
     "train_teacher",
     "write_reports_csv",
 ]
@@ -123,6 +127,34 @@ def evaluate(model: MlpModel, data: Dataset, split: str = "val") -> EvalResult:
     )
 
 
+def shape_mismatch(what: str, model: MlpModel, data: Dataset) -> str | None:
+    """Why `model` cannot read `data` (features or classes differ), or None if it can."""
+    if model.input_dim == data.dim and model.num_classes == data.num_classes:
+        return None
+    return (
+        f"{what} expects {model.input_dim} features / {model.num_classes} classes, "
+        f"dataset has {data.dim} / {data.num_classes}"
+    )
+
+
+def _teacher_log_probs(teacher: MlpModel, data: Dataset, rows: np.ndarray, batch_size: int) -> np.ndarray:
+    """The teacher's log-probabilities for `rows` of `data`, as an (len(rows), K) table.
+
+    Computed in chunks of exactly `batch_size` contiguous rows (the last
+    chunk ends at the last row, overlapping the one before), so every
+    teacher matmul has the shape of a per-batch call. A row then gets the
+    same bits as in a per-batch call wherever BLAS computes a row
+    independently of its place in the block (on OpenBLAS, batch sizes that
+    are a multiple of the kernel's row unroll, such as 32 or 128).
+    """
+    table = np.empty((rows.size, teacher.num_classes))
+    for start in range(0, rows.size, batch_size):
+        start = min(start, rows.size - batch_size)
+        chunk = slice(start, start + batch_size)
+        table[chunk] = numerics.log_softmax_rows(teacher.forward(data.features[rows[chunk]]))
+    return table
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the finite checks below report a blow-up
 def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None):
     """Train `model` in place and return (best model, reports).
@@ -134,10 +166,13 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
     short final remainder rolls into the next epoch's shuffle). The model
     returned is the checkpoint with the best validation accuracy.
 
+    The kd teacher is frozen, so its log-probabilities for the training
+    rows are computed once per run, before step 0; a step gathers its
+    batch's rows from that table. A teacher whose shape does not fit `data`
+    raises ValueError before any step.
+
     `step_callback(steps_done, model)` runs after every parameter update.
     """
-    if cfg.mode == "kd" and teacher is None:
-        raise ValueError("kd mode requires a teacher model")
     rng = np.random.default_rng(cfg.seed)
     optimizer = SgdOptimizer(model, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
@@ -146,6 +181,14 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
     train_idx = data.splits["train"]
     if train_idx.size < cfg.batch_size:
         raise ValueError(f"batch size {cfg.batch_size} exceeds training set size {train_idx.size}")
+    if cfg.mode == "kd":
+        if teacher is None:
+            raise ValueError("kd mode requires a teacher model")
+        if mismatch := shape_mismatch("teacher", teacher, data):
+            raise ValueError(mismatch)
+        teacher_table = _teacher_log_probs(teacher, data, train_idx, cfg.batch_size)
+        table_row = np.empty(data.features.shape[0], dtype=np.intp)  # dataset row -> table row
+        table_row[train_idx] = np.arange(train_idx.size)
     order = rng.permutation(train_idx)
     pos = 0
 
@@ -166,7 +209,7 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
         Z = model.forward(X)
 
         mode, smoothing = ("ls", _WARMUP_SMOOTHING) if t < warmup else (cfg.mode, cfg.smoothing)
-        teacher_logP = numerics.log_softmax_rows(teacher.forward(X)) if mode == "kd" else None
+        teacher_logP = teacher_table[table_row[batch]] if mode == "kd" else None
         _, alphas, losses, grad = batch_objective(ks, Z, mode, smoothing, cfg.beta_cp, teacher_logP)
 
         batch_loss = float(losses.mean())

@@ -287,7 +287,7 @@ class TestConfigPreflight:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "teacher_checkpoint" in err and "3 classes" in err
+        assert err == f"error: teacher_checkpoint {teacher_path} expects 2 features / 3 classes, dataset has 2 / 4\n"
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize(

@@ -214,6 +214,18 @@ class TestBatch:
         with pytest.raises(ValueError, match=f"^row 1: alpha must be finite, got {alpha}$"):
             solve_inner_numeric([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5]], [1.0, alpha], 2.0)
 
+    def test_infinite_beta_is_rejected_before_any_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the solver swept with an infinite beta")
+
+        monkeypatch.setattr(oracle_mod, "inner_gradient", no_sweep)
+        with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+            solve_inner_numeric([0.7, 0.2, 0.1], 1.0, np.inf)
+        with pytest.raises(ValueError, match="^row 1: beta must be finite, got inf$"):
+            solve_inner_numeric([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5]], 1.0, [2.0, np.inf])
+        with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+            verify_closed_form([0.7, 0.2, 0.1], 1.0, np.inf)
+
     def test_max_iter_too_small_for_one_row(self, monkeypatch):
         P = np.array([[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])  # uniform rows start at their optimum
         enough = solve_inner_numeric(P[0], 1.0, 2.0, tol=1e-14).iterations
@@ -311,6 +323,8 @@ class TestHessianCheck:
             hessian_check([1.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             hessian_check([0.5, 0.5], 0.0)
+        with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+            hessian_check([0.7, 0.2, 0.1], np.inf)  # differencing would return nan
 
 
 class TestInnerObjectiveGeometry:

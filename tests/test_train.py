@@ -1,9 +1,13 @@
 """Training-loop tests: warm-up equivalence, determinism, label freshness,
 evaluation metrics, and the teacher pathway."""
 
+import math
+
 import numpy as np
 import pytest
 
+import labo.train as train_mod
+from labo import numerics
 from labo.data import gaussian_blobs
 from labo.model import MlpModel
 from labo.smoothing import SmoothingConfig
@@ -128,6 +132,82 @@ class TestDeterminismAndDetachment:
         model = MlpModel([2, 16, 3], seed=1)
         with pytest.raises(ValueError, match="teacher"):
             run_training(model, small_blobs, make_cfg(mode="kd"))
+
+
+def record_forward_inputs(model) -> list:
+    """Record the input of every `model.forward` call; returns the list."""
+    inputs, forward = [], model.forward
+
+    def spy(x):
+        inputs.append(x)
+        return forward(x)
+
+    model.forward = spy
+    return inputs
+
+
+class TestTeacherTable:
+    """The frozen kd teacher's log-probabilities come from one pass per run."""
+
+    @pytest.fixture(scope="class")
+    def uneven_blobs(self):
+        data = gaussian_blobs(3, 210, dim=2, std=1.0, seed=7)
+        assert data.splits["train"].size % 32 != 0  # so the last chunk overlaps the one before
+        return data
+
+    def test_batch_rows_equal_a_per_batch_teacher_pass(self, uneven_blobs, monkeypatch):
+        """Over 50 seeded batches, the rows a step hands to the objective equal
+        log_softmax_rows(teacher.forward(X)) of that step's batch, bit for bit."""
+        teacher = MlpModel([2, 64, 3], seed=99)
+        student = MlpModel([2, 16, 3], seed=4)
+        student_inputs = record_forward_inputs(student)
+        seen, objective = [], train_mod.batch_objective
+
+        def spy(ks, Z, mode, smoothing, beta_cp, teacher_logP):
+            seen.append((student_inputs[-1], teacher_logP))
+            return objective(ks, Z, mode, smoothing, beta_cp, teacher_logP)
+
+        monkeypatch.setattr(train_mod, "batch_objective", spy)
+        run_training(student, uneven_blobs, make_cfg(mode="kd", steps=50, eval_every=50, seed=4), teacher=teacher)
+
+        assert len(seen) == 50
+        train_idx = uneven_blobs.splits["train"]
+        last_only = {x.tobytes() for x in uneven_blobs.features[train_idx[-(train_idx.size % 32):]]}
+        assert any(x.tobytes() in last_only for X, _ in seen for x in X)  # rows only the overlapping chunk holds
+        for X, teacher_logP in seen:
+            np.testing.assert_array_equal(teacher_logP, numerics.log_softmax_rows(teacher.forward(X)))
+
+    @pytest.mark.parametrize("steps", [10, 200])
+    def test_kd_runs_one_teacher_pass_per_chunk(self, uneven_blobs, steps):
+        teacher = MlpModel([2, 64, 3], seed=99)
+        calls = record_forward_inputs(teacher)
+        run_training(MlpModel([2, 16, 3], seed=4), uneven_blobs, make_cfg(mode="kd", steps=steps), teacher=teacher)
+        assert len(calls) == math.ceil(uneven_blobs.splits["train"].size / 32)
+        assert all(x.shape == (32, 2) for x in calls)
+
+    @pytest.mark.parametrize("mode", ["none", "ls", "cp", "labo"])
+    def test_other_modes_never_call_the_teacher(self, uneven_blobs, mode):
+        teacher = MlpModel([2, 64, 3], seed=99)
+        calls = record_forward_inputs(teacher)
+        run_training(MlpModel([2, 16, 3], seed=4), uneven_blobs, make_cfg(mode=mode, warmup=20), teacher=teacher)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([2, 8, 4], "teacher expects 2 features / 4 classes, dataset has 2 / 3"),
+            ([3, 8, 3], "teacher expects 3 features / 3 classes, dataset has 2 / 3"),
+        ],
+        ids=["classes", "features"],
+    )
+    def test_mismatched_teacher_fails_before_any_step(self, small_blobs, sizes, message):
+        teacher = MlpModel(sizes, seed=0)
+        calls = record_forward_inputs(teacher)
+        steps = []
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_training(MlpModel([2, 16, 3], seed=1), small_blobs, make_cfg(mode="kd"), teacher=teacher,
+                         step_callback=lambda t, m: steps.append(t))
+        assert steps == [] and calls == []
 
 
 class TestAdaptiveAlphaTelemetry:
