@@ -23,6 +23,19 @@ def param_count(layer_sizes) -> int:
     return sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
+def _layer_pass(a, weights, biases):
+    """Activations (input first) and pre-activations of the layers on input `a`. The weights and biases may carry
+    a leading stack axis, as `MlpModel._views` returns them; each bias must broadcast against `a @ W` as given."""
+    activations, pre_acts = [a], []
+    last = len(weights) - 1
+    for li, (W, b) in enumerate(zip(weights, biases)):
+        h = a @ W + b
+        pre_acts.append(h)
+        a = h if li == last else np.maximum(h, 0.0)
+        activations.append(a)
+    return activations, pre_acts
+
+
 class MlpModel:
     """Fully connected ReLU network producing raw logits.
 
@@ -79,17 +92,8 @@ class MlpModel:
         X = x[None, :] if single else x
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected input dim {self.input_dim}, got shape {x.shape}")
-        activations = [X]
-        pre_acts = []
-        a = X
-        last = len(self.weights) - 1
-        for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = a @ W + b
-            pre_acts.append(h)
-            a = h if li == last else np.maximum(h, 0.0)
-            activations.append(a)
-        self._cache = (activations, pre_acts)
-        logits = activations[-1]
+        self._cache = _layer_pass(X, self.weights, self.biases)
+        logits = self._cache[0][-1]
         return logits[0] if single else logits
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:

@@ -9,11 +9,11 @@ Classical label smoothing is the p_ls = U special case (the KL vanishes),
 and distillation with temperature 1 is the p_ls = teacher special case up
 to an additive constant (see `kd_decomposition_residual`).
 
-The per-instance functions are the reference definitions. `batch_objective`
-computes the labels, losses and logit gradient of a whole training batch in
-one pass, for every training mode; its rows match the per-instance
-functions. Batch reduction is the arithmetic mean, which keeps gradient
-scale independent of batch size.
+`batch_objective` computes the labels, losses and logit gradient of a training
+batch in one pass, for every mode. `smoothed_ce`, `unified_objective` and
+`kd_loss` are the reference definitions its rows are tested against; `cp_loss`
+and `cp_grad_wrt_logits` are checked one-row views of its "cp" mode. Batch
+reduction is the arithmetic mean, which keeps gradient scale independent of batch size.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import check_class_index, check_prob_vec, onehot, uniform
+from .numerics import check_class_index, check_logits, check_prob_vec, uniform
 from .smoothing import SmoothedLabel, SmoothingConfig, mix_label
 
 __all__ = [
@@ -70,26 +70,24 @@ def unified_objective(k: int, z, p_ls, alpha: float, beta: float) -> ObjectiveBr
     return ObjectiveBreakdown.of(ce, kl)
 
 
-def cp_loss(k: int, z, beta_cp: float) -> float:
-    """Cross entropy plus a penalty on confident (low-entropy) outputs."""
+def _cp_row(k: int, z, beta_cp: float):
+    """Loss and logit gradient of `batch_objective`'s "cp" mode on the one-row batch (k, z), checked first."""
     if beta_cp < 0:
         raise ValueError(f"beta_cp must be >= 0, got {beta_cp}")
-    logp = numerics.log_softmax(z)
-    check_class_index(k, logp.shape[0])
-    return float(-logp[k] + beta_cp * (np.exp(logp) * logp).sum())
+    z = check_logits(z)
+    check_class_index(k, z.shape[0])  # before indexing: k = -1 would read the last class
+    _, _, losses, grad = batch_objective(np.array([k]), z[None, :], "cp", SmoothingConfig(), beta_cp)
+    return float(losses[0]), grad[0]
+
+
+def cp_loss(k: int, z, beta_cp: float) -> float:
+    """Cross entropy minus beta_cp * H(p): a penalty on confident (low-entropy) outputs."""
+    return _cp_row(k, z, beta_cp)[0]
 
 
 def cp_grad_wrt_logits(k: int, z, beta_cp: float) -> np.ndarray:
-    """Analytic gradient of `cp_loss` with respect to the logits.
-
-    d/dz_i [-log p_k] = p_i - 1{i=k}, and
-    d/dz_i [-H(p)]    = p_i * (log p_i + H(p)),
-    so the total is p - onehot(k) + beta_cp * p * (log p + H(p)).
-    """
-    logp = numerics.log_softmax(z)
-    p = np.exp(logp)
-    h = -(p * logp).sum()
-    return p - onehot(k, logp.shape[0]) + beta_cp * p * (logp + h)
+    """Analytic gradient of `cp_loss` with respect to the logits: p - onehot(k) + beta_cp * p * (log p + H(p))."""
+    return _cp_row(k, z, beta_cp)[1]
 
 
 def kd_loss(k: int, z, teacher_p, alpha: float) -> float:
@@ -156,7 +154,8 @@ def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0
     that kd requires.
 
     Returns (labels, alphas, losses, grad) of shapes (n, K), (n,), (n,),
-    (n, K). Labels are rebuilt from Z on every call and held fixed in grad.
+    (n, K). Labels and alphas are rebuilt from Z on every call and held
+    fixed in grad, so an adaptive alpha(z) counts as a per-row constant.
     """
     n, num_classes = Z.shape
     rows = np.arange(n)
@@ -197,6 +196,7 @@ def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0
         # the true distillation loss is the smoothed CE minus alpha * H(teacher)
         losses += cfg.alpha * (teacher_P * teacher_logP).sum(axis=1)
     elif mode == "cp":
+        # d/dz_i [-log p_k] = p_i - 1{i=k} and d/dz_i [-H(p)] = p_i * (log p_i + H(p))
         H = -(P * logp).sum(axis=1)
         losses -= beta_cp * H
         grad += beta_cp * P * (logp + H[:, None])

@@ -41,8 +41,8 @@ class SmoothingConfig(Config, table=SMOOTHING):
     The KL weight beta is never stored; it is always derived as
     beta = alpha * tau, so tau is the single knob controlling the flatness
     of the optimal smoothing distribution. With the adaptive alpha rule the
-    exponent alpha/beta = 1/tau stays constant and adaptivity only moves
-    the mixing weight (and thereby the KL weight).
+    exponent alpha/beta = 1/tau stays constant; adaptivity moves only the
+    mixing weight alpha(z), which training holds fixed per row like the label.
     """
 
     alpha_rule: str = "fixed"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics, objectives, oracle, smoothing
-from .model import MlpModel
+from .model import MlpModel, _layer_pass
 from .numerics import uniform
 
 __all__ = ["CheckResult", "run_verification", "VERIFY_SEED"]
@@ -86,27 +86,29 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
 def _stacked_logits(m: MlpModel, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Logits at input `x` of model `m` with each row of `thetas` in place of its `theta`."""
     weights, biases = m._views(thetas)
-    a = x[None, None, :]
-    for li, (W, b) in enumerate(zip(weights, biases)):
-        h = a @ W + b[:, None, :]
-        a = h if li == len(weights) - 1 else np.maximum(h, 0.0)
-    return a[:, 0, :]
+    activations, _ = _layer_pass(x[None, None, :], weights, [b[:, None, :] for b in biases])
+    return activations[-1][:, 0, :]
 
 
-def _fd_vs_backprop(rng, label, mode: str, cfg):
+def _fd_vs_backprop(rng, mode: str, cfg):
     """Relative L2 error of backprop against FD on a drawn 2-8-3 model, input and class k; and its logits z.
 
-    Backprop pushes the CE gradient of the per-instance `label(k, z)`; FD
+    Backprop pushes the CE gradient of `build_label(k, z, mode, cfg)`; FD
     differentiates the training loss, the rows of `batch_objective(mode, cfg)`
     at all 2P perturbed parameter vectors in one stacked forward.
     """
     m = MlpModel([2, 8, 3], seed=int(rng.integers(1 << 30)))
     x = rng.normal(0.0, 1.0, size=2)
-    k = int(rng.integers(3))
+    k = int(rng.integers(m.num_classes))
     ks = np.full(2 * m.theta.size, k)
     fd = _fd_grad(lambda T: objectives.batch_objective(ks, _stacked_logits(m, T, x), mode, cfg)[2], m.theta)
     z = m.forward(x)
-    return _rel_err(fd, m.backward(objectives.grad_wrt_logits(label(k, z), z))), z
+    return _rel_err(fd, m.backward(objectives.grad_wrt_logits(smoothing.build_label(k, z, mode, cfg), z))), z
+
+
+def _logits(rng) -> np.ndarray:
+    """Logits z ~ N(0, 3^2) of a drawn class count K in {2, 3, 10}."""
+    return rng.normal(0.0, 3.0, size=int(rng.choice([2, 3, 10])))
 
 
 def _closed_form_instance(rng):
@@ -125,8 +127,7 @@ def _tempering_limits(rng, i):
 
 
 def _temperature_identity(rng, i):
-    num_classes = int(rng.choice([2, 3, 10]))
-    z = rng.normal(0.0, 3.0, size=num_classes)
+    z = _logits(rng)
     tau = (1.15, 1.25)[i % 2] if i < 4 else rng.uniform(1.0, 10.0)
     via_logits = smoothing.labo_from_logits(z, tau)
     via_probs = smoothing.labo_optimal_smoothing(numerics.softmax(z), tau)
@@ -134,26 +135,24 @@ def _temperature_identity(rng, i):
 
 
 def _kd_decomposition(rng, i):
-    num_classes = int(rng.choice([2, 3, 10]))
-    z = rng.normal(0.0, 3.0, size=num_classes)
-    teacher_p = _interior_simplex(rng, num_classes)
+    z = _logits(rng)
+    teacher_p = _interior_simplex(rng, z.size)
     alpha = rng.uniform(0.0, 1.0)
-    k = int(rng.integers(num_classes))
+    k = int(rng.integers(z.size))
     return objectives.kd_decomposition_residual(k, z, teacher_p, alpha)
 
 
 def _objective_equivalence(rng, i):
     """Direct CE+KL evaluation vs the reduced single-sum expansion."""
-    num_classes = int(rng.choice([2, 3, 10]))
-    z = rng.normal(0.0, 3.0, size=num_classes)
-    k = int(rng.integers(num_classes))
+    z = _logits(rng)
+    k = int(rng.integers(z.size))
     tau = rng.uniform(1.05, 10.0)
     alpha = rng.uniform(0.05, 1.0)
     beta = alpha * tau
     p_star = smoothing.labo_from_logits(z, tau)
     direct = objectives.unified_objective(k, z, p_star, alpha, beta).total
     label = smoothing.mix_label(k, p_star, alpha).dist
-    expansion = float((-label * numerics.log_softmax(z) + beta * p_star * np.log(num_classes * p_star)).sum())
+    expansion = float((-label * numerics.log_softmax(z) + beta * p_star * np.log(z.size * p_star)).sum())
     return abs(direct - expansion)
 
 
@@ -165,8 +164,7 @@ def _hessian_diagonal(rng, i):
 
 
 def _model_gradients(rng, i):
-    cfg = smoothing.SmoothingConfig(alpha=0.1)
-    return _fd_vs_backprop(rng, lambda k, z: smoothing.uniform_smooth(k, 3, cfg.alpha), "ls", cfg)[0]
+    return _fd_vs_backprop(rng, "ls", smoothing.SmoothingConfig(alpha=0.1))[0]
 
 
 def _zero_hypergradient(rng, i):
@@ -177,20 +175,18 @@ def _zero_hypergradient(rng, i):
     inner solution contributes nothing.
     """
     alpha, tau = 0.4, 1.25
-    rel, z = _fd_vs_backprop(rng, lambda k, z: smoothing.mix_label(k, smoothing.labo_from_logits(z, tau), alpha),
-                             "labo", smoothing.SmoothingConfig(alpha=alpha, tau=tau))
-    # unconstrained gradient w.r.t. the smoothing distribution must be
-    # a multiple of the all-ones vector, i.e. zero on the simplex tangent
+    rel, z = _fd_vs_backprop(rng, "labo", smoothing.SmoothingConfig(alpha=alpha, tau=tau))
+    # the unconstrained gradient w.r.t. the smoothing distribution must be zero on the simplex tangent
     g_pstar = oracle.inner_gradient(smoothing.labo_from_logits(z, tau), numerics.softmax(z), alpha, alpha * tau)
     return rel, float(np.linalg.norm(g_pstar - g_pstar.mean()))
 
 
 def _cp_gradient(rng, i):
-    num_classes = int(rng.choice([2, 3, 10]))
-    z = rng.normal(0.0, 3.0, size=num_classes)
-    k = int(rng.integers(num_classes))
+    z = _logits(rng)
+    k = int(rng.integers(z.size))
     beta_cp = rng.uniform(0.0, 1.0)
-    fd = _fd_grad(lambda Z: np.array([objectives.cp_loss(k, zz, beta_cp) for zz in Z]), z)
+    ks = np.full(2 * z.size, k)
+    fd = _fd_grad(lambda Z: objectives.batch_objective(ks, Z, "cp", smoothing.SmoothingConfig(), beta_cp)[2], z)
     return _rel_err(fd, objectives.cp_grad_wrt_logits(k, z, beta_cp))
 
 

