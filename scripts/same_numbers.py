@@ -1,4 +1,20 @@
-"""Compare two output trees value by value: the "same numbers" check of a refactor.
+"""Same numbers: run one fixed recipe in two checkouts and compare the outputs value by value.
+
+    python scripts/same_numbers.py PARENT CHANGE   # two labo checkouts (each holds src/labo/cli.py)
+    python scripts/same_numbers.py A B             # two output trees made earlier
+
+Given two checkouts, the recipe runs in each, every command a fresh
+`python -m labo.cli` with that checkout's `src` on PYTHONPATH, one BLAS
+thread, and a working directory of its own under a temporary directory:
+
+- `labo teacher`, then `labo train` in the five modes, on the blobs problem
+  of configs/blobs_comparison.json at 600 steps (warm-up 150) and seeds 1, 2;
+- `labo teacher`, then a `kd`/`none` `labo train`, on a 100-class CSV the
+  script generates from a fixed seed;
+- `labo verify --json`, full and `--quick`, at the default seed and at 0, 1, 7.
+
+Each command's stdout is kept (`.json` for `--json`), its stderr if any,
+and every exit code in `exit_codes.json`; the two trees are then compared.
 
 Every file under A is paired with the file at the same relative path under B:
 
@@ -16,7 +32,7 @@ nothing moved. Otherwise prints one line per differing file, the file with
 the largest move first, each naming its largest move by line and column
 (CSV), JSON path or byte offset, and exits 1.
 
-Usage: python scripts/same_numbers.py A B
+Usage: python scripts/same_numbers.py PARENT CHANGE | A B
 """
 
 from __future__ import annotations
@@ -25,7 +41,11 @@ import csv
 import io
 import json
 import math
+import os
+import random
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 VERIFY_KEYS = {"name", "passed", "detail", "seconds"}
@@ -122,12 +142,82 @@ def compare(root_a: Path, root_b: Path) -> list[tuple[float, str]]:
     return sorted(reports, key=lambda r: -r[0])
 
 
+# the blobs problem and training settings of configs/blobs_comparison.json, at 600 steps
+BLOBS = {"kind": "blobs", "num_classes": 3, "per_class": 2000, "dim": 2, "std": 1.0, "seed": 7}
+TRAIN = {"steps": 600, "warmup": 150, "batch_size": 128, "lr": 0.1, "eval_every": 200, "momentum": 0.9,
+         "weight_decay": 0.0005, "beta_cp": 0.1,
+         "smoothing": {"alpha_rule": "adaptive", "alpha": 0.1, "rho": 0.5, "tau": 1.25}}
+WIDE_CLASSES, WIDE_DIM, WIDE_PER_CLASS = 100, 32, 50
+
+
+def wide_csv() -> str:
+    """A 100-class CSV, each class a unit Gaussian around its own mean, drawn from a fixed seed."""
+    rng = random.Random(2023)
+    means = [[rng.gauss(0.0, 0.8) for _ in range(WIDE_DIM)] for _ in range(WIDE_CLASSES)]
+    lines = [",".join([f"x{i}" for i in range(WIDE_DIM)] + ["label"])]
+    for i in range(WIDE_CLASSES * WIDE_PER_CLASS):
+        k = i % WIDE_CLASSES
+        lines.append(",".join(repr(m + rng.gauss(0.0, 1.0)) for m in means[k]) + f",{k}")
+    return "\n".join(lines) + "\n"
+
+
+def recipe() -> tuple[dict, list]:
+    """The input files (name -> text) and the commands (name, labo argv) of the recipe, in order."""
+    blobs = {"dataset": BLOBS, "hidden": [32], "train": TRAIN, "modes": ["none", "ls", "cp", "kd", "labo"],
+             "seeds": [1, 2], "out_dir": "blobs", "teacher_checkpoint": "blobs-teacher/teacher.checkpoint.json"}
+    wide = {"dataset": {"kind": "csv", "path": "wide.csv", "label_column": "label"}, "hidden": [64],
+            "train": {**TRAIN, "steps": 200, "warmup": 0, "eval_every": 50}, "modes": ["kd", "none"], "seeds": [1],
+            "out_dir": "wide", "teacher_checkpoint": "wide-teacher/teacher.checkpoint.json"}
+    files = {"blobs.json": json.dumps(blobs, indent=1), "wide.json": json.dumps(wide, indent=1), "wide.csv": wide_csv()}
+    commands = []
+    for name in ("blobs", "wide"):
+        commands.append((f"{name}-teacher", ["teacher", "--config", f"{name}.json", "--out", f"{name}-teacher"]))
+        commands.append((f"{name}-train", ["train", "--config", f"{name}.json"]))
+    for seed in (None, 0, 1, 7):
+        for quick in (False, True):
+            argv = ["verify", "--json"] + ["--quick"] * quick + ([] if seed is None else ["--seed", str(seed)])
+            commands.append((f"verify{'-quick' * quick}-seed-{'default' if seed is None else seed}", argv))
+    return files, commands
+
+
+def run_recipe(checkout: Path, tree: Path) -> None:
+    """Run the recipe with the labo of `checkout`, writing every output under `tree`."""
+    env = {key: value for key, value in os.environ.items() if key != "LABO_OUT"}
+    env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    files, commands = recipe()
+    tree.mkdir(parents=True)
+    for name, text in files.items():
+        (tree / name).write_text(text)
+    codes = {}
+    for name, argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "labo.cli", *argv], cwd=tree, env=env,
+                              capture_output=True, text=True)
+        (tree / f"{name}.stdout{'.json' if '--json' in argv else '.txt'}").write_text(proc.stdout)
+        if proc.stderr:
+            (tree / f"{name}.stderr.txt").write_text(proc.stderr)
+        codes[name] = proc.returncode
+    (tree / "exit_codes.json").write_text(json.dumps(codes, indent=1))
+
+
+def is_checkout(path: Path) -> bool:
+    return (path / "src" / "labo" / "cli.py").is_file()
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2 or not all(Path(a).is_dir() for a in args):
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
-    reports = compare(Path(args[0]), Path(args[1]))
+    roots = [Path(a).resolve() for a in args]
+    if all(is_checkout(root) for root in roots):
+        with tempfile.TemporaryDirectory(prefix="same-numbers-") as tmp:
+            trees = [Path(tmp, side) for side in ("A", "B")]
+            for root, tree in zip(roots, trees):
+                run_recipe(root, tree)
+            reports = compare(*trees)
+    else:
+        reports = compare(*roots)
     print("\n".join(line for _, line in reports) if reports else "identical")
     return 1 if reports else 0
 

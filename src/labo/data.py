@@ -31,13 +31,13 @@ IDX_LABEL_MAGIC = 0x00000801
 class Dataset:
     """Feature matrix, integer labels, and named index splits."""
 
-    features: np.ndarray  # (N, D) float64
+    features: np.ndarray  # (N, D) float64, C-contiguous
     labels: np.ndarray  # (N,) int64 in [0, num_classes)
     num_classes: int
     splits: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)  # batches gather rows
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = self.features.shape[0]
         if self.labels.shape != (n,):
@@ -181,7 +181,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
         raise ValueError(f"{path}:{bad[0] + 2}: non-finite cell")
     raw_labels = table[:, label_idx]
     feature_cols = [i for i in range(len(header)) if i != label_idx]
-    features = table[:, feature_cols]
+    features = np.take(table, feature_cols, axis=1)  # C-ordered, unlike table[:, feature_cols]
     values = np.unique(raw_labels)
     if values.size < 2:
         raise ValueError(f"{path}: need at least 2 distinct label values, found {values.size}")

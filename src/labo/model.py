@@ -9,6 +9,7 @@ are about label regularizers, and extra regularizers would confound them.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,17 +24,17 @@ def param_count(layer_sizes) -> int:
     return sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
-def _layer_pass(a, weights, biases):
-    """Activations (input first) and pre-activations of the layers on input `a`. The weights and biases may carry
-    a leading stack axis, as `MlpModel._views` returns them; each bias must broadcast against `a @ W` as given."""
-    activations, pre_acts = [a], []
-    last = len(weights) - 1
+def _layer_pass(a, weights, biases, pre_acts, hidden):
+    """Logits of the layers on input `a`. Layer li's pre-activation goes into `pre_acts[li]` and, below the
+    output, its ReLU into `hidden[li]`: into the array there, or a fresh one stored there if it holds None.
+    The weights and biases may carry a leading stack axis, as `MlpModel._views` returns them; each bias must
+    broadcast against `a @ W` as given."""
     for li, (W, b) in enumerate(zip(weights, biases)):
-        h = a @ W + b
-        pre_acts.append(h)
-        a = h if li == last else np.maximum(h, 0.0)
-        activations.append(a)
-    return activations, pre_acts
+        h = pre_acts[li] = np.matmul(a, W, out=pre_acts[li])
+        h += b
+        if li < len(hidden):
+            a = hidden[li] = np.maximum(h, 0.0, out=hidden[li])
+    return h
 
 
 class MlpModel:
@@ -92,8 +93,8 @@ class MlpModel:
         X = x[None, :] if single else x
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected input dim {self.input_dim}, got shape {x.shape}")
-        self._cache = _layer_pass(X, self.weights, self.biases)
-        logits = self._cache[0][-1]
+        self._cache = self._pass_arrays()
+        logits = self._forward(self._cache, X)
         return logits[0] if single else logits
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
@@ -106,20 +107,34 @@ class MlpModel:
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward (no cached activations)")
-        activations, pre_acts = self._cache
-        g = np.asarray(grad_logits, dtype=np.float64)
-        if g.ndim == 1:
-            g = g[None, :]
-        if g.shape != pre_acts[-1].shape:
+        g = np.atleast_2d(np.asarray(grad_logits, dtype=np.float64))
+        if g.shape != self._cache.pre_acts[-1].shape:
             raise ValueError(f"grad_logits shape {grad_logits.shape} does not match cached logits")
         grad = np.empty_like(self.theta)
-        grad_weights, grad_biases = self._views(grad)
-        for li in range(len(self.weights) - 1, -1, -1):
-            grad_weights[li][...] = activations[li].T @ g
-            grad_biases[li][...] = g.sum(axis=0)
-            if li > 0:
-                g = (g @ self.weights[li].T) * (pre_acts[li - 1] > 0)
+        self._backward(self._cache, g, *self._views(grad))
         return grad
+
+    def _pass_arrays(self, n=None) -> SimpleNamespace:
+        """The arrays of one forward and backward pass over `n` rows; with n None, slots the pass fills afresh."""
+        widths = self.layer_sizes[1:]
+        new = (lambda w, dtype=float: None) if n is None else (lambda w, dtype=float: np.empty((n, w), dtype))
+        return SimpleNamespace(x=None, pre_acts=[new(w) for w in widths], hidden=[new(w) for w in widths[:-1]],
+                               deltas=[new(w) for w in widths[:-1]], masks=[new(w, bool) for w in widths[:-1]])
+
+    def _forward(self, arrays: SimpleNamespace, X: np.ndarray) -> np.ndarray:
+        """Logits of the (n, D) batch `X`, keeping in `arrays` what `_backward` needs."""
+        arrays.x = X
+        return _layer_pass(X, self.weights, self.biases, arrays.pre_acts, arrays.hidden)
+
+    def _backward(self, arrays: SimpleNamespace, g: np.ndarray, grad_weights, grad_biases) -> None:
+        """Backpropagate the (n, K) logit gradient `g` of the `_forward` that filled `arrays` into the views."""
+        activations = [arrays.x, *arrays.hidden]
+        for li in range(len(activations) - 1, -1, -1):
+            np.matmul(activations[li].T, g, out=grad_weights[li])
+            np.add.reduce(g, axis=0, out=grad_biases[li])
+            if li > 0:
+                g = np.matmul(g, self.weights[li].T, out=arrays.deltas[li - 1])
+                g *= np.greater(arrays.pre_acts[li - 1], 0.0, out=arrays.masks[li - 1])
 
     def copy(self) -> "MlpModel":
         clone = MlpModel(self.layer_sizes, seed=self.seed, init=False)
@@ -142,11 +157,12 @@ class SgdOptimizer:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.vel = np.zeros_like(model.theta)
+        self._work = np.empty_like(model.theta)
 
     def step(self, model: MlpModel, grad: np.ndarray) -> None:
         self.vel *= self.momentum
-        self.vel += grad + self.weight_decay * model.theta
-        model.theta -= self.lr * self.vel
+        self.vel += np.add(grad, np.multiply(self.weight_decay, model.theta, out=self._work), out=self._work)
+        model.theta -= np.multiply(self.lr, self.vel, out=self._work)
 
 
 def save_checkpoint(model: MlpModel, path: str) -> None:

@@ -92,8 +92,14 @@ def softmax(z) -> np.ndarray:
 
 def log_softmax_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of an (n, K) batch: Z - max - log(sum(exp(Z - max)))."""
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return _log_softmax_rows_into(Z, np.empty(Z.shape), np.empty(Z.shape), np.empty((Z.shape[0], 1)))
+
+
+def _log_softmax_rows_into(Z, out, work, col):
+    """`log_softmax_rows(Z)` written into `out` (which may be Z), with (n, K) `work` and (n, 1) `col` as scratch."""
+    np.subtract(Z, np.maximum.reduce(Z, axis=1, keepdims=True, out=col), out=out)
+    np.add.reduce(np.exp(out, out=work), axis=1, keepdims=True, out=col)
+    return np.subtract(out, np.log(col, out=col), out=out)
 
 
 def log_softmax(z) -> np.ndarray:

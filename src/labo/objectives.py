@@ -19,6 +19,7 @@ reduction is the arithmetic mean, which keeps gradient scale independent of batc
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -157,48 +158,64 @@ def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0
     (n, K). Labels and alphas are rebuilt from Z on every call and held
     fixed in grad, so an adaptive alpha(z) counts as a per-row constant.
     """
+    return _batch_objective_into(ks, Z, mode, cfg, beta_cp, teacher_logP, _objective_buffers(*Z.shape))
+
+
+def _objective_buffers(n: int, num_classes: int) -> SimpleNamespace:
+    """The arrays `batch_objective` writes for an (n, K) batch; one set serves any number of calls."""
+    square = {name: np.empty((n, num_classes)) for name in ("logp", "P", "labels", "grad", "logq", "q", "work")}
+    return SimpleNamespace(**square, alphas=np.empty(n), losses=np.empty(n), row=np.empty(n), col=np.empty((n, 1)),
+                           rows=np.arange(n))
+
+
+def _batch_objective_into(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp, teacher_logP, b: SimpleNamespace):
+    """`batch_objective` computed in the arrays of `b`, made for Z's shape, and returned as those arrays."""
     n, num_classes = Z.shape
-    rows = np.arange(n)
-    logp = numerics.log_softmax_rows(Z)
-    P = np.exp(logp)
+    labels, alphas, work = b.labels, b.alphas, b.work
+
+    def row_dots(A, B, out=b.row):  # (A * B).sum(axis=1), the product formed in `work`
+        return np.add.reduce(np.multiply(A, B, out=work), axis=1, out=out)
+
+    logp = numerics._log_softmax_rows_into(Z, b.logp, work, b.col)
+    P = np.exp(logp, out=b.P)
     if mode in ("none", "cp"):
-        alphas = np.zeros(n)
-        labels = np.zeros((n, num_classes))
+        alphas.fill(0.0)
+        labels.fill(0.0)
     elif mode == "ls":
-        alphas = np.full(n, cfg.alpha)
-        labels = np.full((n, num_classes), cfg.alpha / num_classes)
+        alphas.fill(cfg.alpha)
+        labels.fill(cfg.alpha / num_classes)
     elif mode == "kd":
         if teacher_logP is None:
             raise ValueError("kd mode requires teacher_logP")
-        alphas = np.full(n, cfg.alpha)
-        teacher_P = np.exp(teacher_logP)
-        labels = cfg.alpha * teacher_P
+        alphas.fill(cfg.alpha)
+        teacher_P = np.exp(teacher_logP, out=b.q)
+        np.multiply(cfg.alpha, teacher_P, out=labels)
     elif mode == "labo":
         if cfg.alpha_rule == "adaptive":
             # (log K - rho * H(p)) / log K, with H(p) = -sum(p * log p), kept >= 1 - rho as in adaptive_alpha
             h_u = np.log(num_classes)
-            alphas = np.maximum((h_u + cfg.rho * (P * logp).sum(axis=1)) / h_u, 1.0 - cfg.rho)
+            np.maximum((h_u + cfg.rho * row_dots(P, logp)) / h_u, 1.0 - cfg.rho, out=alphas)
         else:
-            alphas = np.full(n, cfg.alpha)
-        logq = numerics.log_softmax_rows(Z / cfg.tau)
-        P_ls = np.exp(logq)
-        labels = alphas[:, None] * P_ls
+            alphas.fill(cfg.alpha)
+        logq = numerics._log_softmax_rows_into(np.divide(Z, cfg.tau, out=b.logq), b.logq, work, b.col)
+        P_ls = np.exp(logq, out=b.q)
+        np.multiply(alphas[:, None], P_ls, out=labels)
     else:
         raise ValueError(f"unknown training mode {mode!r}")
-    labels[rows, ks] += 1.0 - alphas
-    losses = -(labels * logp).sum(axis=1)
-    grad = P - labels
+    labels[b.rows, ks] += 1.0 - alphas
+    losses = np.negative(row_dots(labels, logp, b.losses), out=b.losses)
+    grad = np.subtract(P, labels, out=b.grad)
 
     if mode == "labo":
         # + beta * KL(p_ls || U) = alpha * tau * (log K - H(p_ls))
-        losses += alphas * cfg.tau * (np.log(num_classes) + (P_ls * logq).sum(axis=1))
+        losses += alphas * cfg.tau * (np.log(num_classes) + row_dots(P_ls, logq))
     elif mode == "kd":
         # the true distillation loss is the smoothed CE minus alpha * H(teacher)
-        losses += cfg.alpha * (teacher_P * teacher_logP).sum(axis=1)
+        losses += cfg.alpha * row_dots(teacher_P, teacher_logP)
     elif mode == "cp":
         # d/dz_i [-log p_k] = p_i - 1{i=k} and d/dz_i [-H(p)] = p_i * (log p_i + H(p))
-        H = -(P * logp).sum(axis=1)
+        H = -row_dots(P, logp)
         losses -= beta_cp * H
-        grad += beta_cp * P * (logp + H[:, None])
+        grad += np.multiply(np.multiply(beta_cp, P, out=b.q), np.add(logp, H[:, None], out=work), out=work)
     grad /= n
     return labels, alphas, losses, grad

@@ -129,13 +129,13 @@ def build_label(k: int, z, mode: str, cfg: SmoothingConfig, teacher_p=None) -> S
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    z = check_logits(z)
+    num_classes = z.shape[0]
     if mode == "labo":
-        # alpha from the rule applied to the current model distribution (softmax
-        # checks z), smoothing distribution from the tempered logits
-        p = numerics.softmax(z)
-        alpha = adaptive_alpha(p, cfg.rho) if cfg.alpha_rule == "adaptive" else cfg.alpha
+        # alpha from the rule applied to the current model distribution, smoothing
+        # distribution from the tempered logits
+        alpha = adaptive_alpha(numerics.softmax(z), cfg.rho) if cfg.alpha_rule == "adaptive" else cfg.alpha
         return mix_label(k, labo_from_logits(z, cfg.tau), alpha)
-    num_classes = check_logits(z).shape[0]
     if mode == "none":
         return SmoothedLabel(target=k, alpha_used=0.0, dist=onehot(k, num_classes))
     if mode == "ls":

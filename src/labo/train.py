@@ -16,6 +16,7 @@ histogram over the evaluation split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import numerics
 from .data import Dataset
 from .io import atomic_write_text
 from .model import MlpModel, SgdOptimizer, save_checkpoint
-from .objectives import batch_objective
+from .objectives import _batch_objective_into, _objective_buffers
 from .schema import TRAIN, TRAIN_MODES, Config
 from .smoothing import SmoothingConfig
 
@@ -155,7 +156,52 @@ def _teacher_log_probs(teacher: MlpModel, data: Dataset, rows: np.ndarray, batch
     return table
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the finite checks below report a blow-up
+class _Step:
+    """One `run_training` step over arrays allocated once per run: the batch gather, then the implementations
+    behind `MlpModel.forward`, `batch_objective`, `MlpModel.backward` and `SgdOptimizer.step`, so each result
+    has the bits of those calls, and the finite checks. Building it checks the SGD settings, the batch size
+    and the kd teacher, and computes the teacher table."""
+
+    def __init__(self, model: MlpModel, data: Dataset, cfg: TrainConfig, teacher=None):
+        n, num_classes = cfg.batch_size, model.num_classes
+        self.model, self.data, self.beta_cp = model, data, cfg.beta_cp
+        self.optimizer = SgdOptimizer(model, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+        self.train_idx = data.splits["train"]
+        if self.train_idx.size < n:
+            raise ValueError(f"batch size {n} exceeds training set size {self.train_idx.size}")
+        if cfg.mode == "kd":
+            if teacher is None:
+                raise ValueError("kd mode requires a teacher model")
+            if mismatch := shape_mismatch("teacher", teacher, data):
+                raise ValueError(mismatch)
+            self.teacher_table = _teacher_log_probs(teacher, data, self.train_idx, n)
+            self.table_row = np.empty(data.features.shape[0], dtype=np.intp)  # dataset row -> table row
+            self.table_row[self.train_idx] = np.arange(self.train_idx.size)
+            self.teacher_logP = np.empty((n, num_classes))
+        self.X, self.arrays = np.empty((n, data.dim)), model._pass_arrays(n)
+        self.objective, self.grad = _objective_buffers(n, num_classes), np.empty_like(model.theta)
+        self.grad_views, self.finite = model._views(self.grad), np.empty(model.theta.shape, dtype=bool)
+
+    def __call__(self, t: int, batch: np.ndarray, mode: str, smoothing: SmoothingConfig):
+        """Train on the dataset rows `batch` as step `t`; return the batch's mean loss and its alphas."""
+        Z = self.model._forward(self.arrays, np.take(self.data.features, batch, axis=0, out=self.X))
+        teacher_logP = None
+        if mode == "kd":
+            teacher_logP = np.take(self.teacher_table, self.table_row[batch], axis=0, out=self.teacher_logP)
+        _, alphas, losses, grad = _batch_objective_into(
+            self.data.labels[batch], Z, mode, smoothing, self.beta_cp, teacher_logP, self.objective
+        )
+        loss = float(np.add.reduce(losses)) / losses.size  # the bits of losses.mean()
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"non-finite training loss at step {t}")
+        self.model._backward(self.arrays, grad, *self.grad_views)
+        self.optimizer.step(self.model, self.grad)
+        if not np.isfinite(self.model.theta, out=self.finite).all():
+            raise FloatingPointError(f"non-finite parameters after step {t}")
+        return loss, alphas
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the finite checks of _Step report a blow-up
 def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None):
     """Train `model` in place and return (best model, reports).
 
@@ -169,28 +215,15 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
     The kd teacher is frozen, so its log-probabilities for the training
     rows are computed once per run, before step 0; a step gathers its
     batch's rows from that table. A teacher whose shape does not fit `data`
-    raises ValueError before any step.
+    raises ValueError before any step, and so does everything else
+    `_Step` checks; the arrays a step writes are allocated once per run.
 
     `step_callback(steps_done, model)` runs after every parameter update.
     """
     rng = np.random.default_rng(cfg.seed)
-    optimizer = SgdOptimizer(model, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-
+    step = _Step(model, data, cfg, teacher)
     warmup = cfg.warmup if cfg.mode == "labo" else 0
-
-    train_idx = data.splits["train"]
-    if train_idx.size < cfg.batch_size:
-        raise ValueError(f"batch size {cfg.batch_size} exceeds training set size {train_idx.size}")
-    if cfg.mode == "kd":
-        if teacher is None:
-            raise ValueError("kd mode requires a teacher model")
-        if mismatch := shape_mismatch("teacher", teacher, data):
-            raise ValueError(mismatch)
-        teacher_table = _teacher_log_probs(teacher, data, train_idx, cfg.batch_size)
-        table_row = np.empty(data.features.shape[0], dtype=np.intp)  # dataset row -> table row
-        table_row[train_idx] = np.arange(train_idx.size)
-    order = rng.permutation(train_idx)
-    pos = 0
+    order, pos = rng.permutation(step.train_idx), 0
 
     reports: list[EpochReport] = []
     window_losses: list[float] = []
@@ -199,27 +232,13 @@ def run_training(model, data, cfg: TrainConfig, teacher=None, step_callback=None
 
     for t in range(cfg.steps):
         if pos + cfg.batch_size > order.size:
-            order = rng.permutation(train_idx)
-            pos = 0
+            order, pos = rng.permutation(step.train_idx), 0
         batch = order[pos : pos + cfg.batch_size]
         pos += cfg.batch_size
 
-        X = data.features[batch]
-        ks = data.labels[batch]
-        Z = model.forward(X)
-
         mode, smoothing = ("ls", _WARMUP_SMOOTHING) if t < warmup else (cfg.mode, cfg.smoothing)
-        teacher_logP = teacher_table[table_row[batch]] if mode == "kd" else None
-        _, alphas, losses, grad = batch_objective(ks, Z, mode, smoothing, cfg.beta_cp, teacher_logP)
-
-        batch_loss = float(losses.mean())
-        if not np.isfinite(batch_loss):
-            raise FloatingPointError(f"non-finite training loss at step {t}")
+        batch_loss, alphas = step(t, batch, mode, smoothing)
         window_losses.append(batch_loss)
-
-        optimizer.step(model, model.backward(grad))
-        if not np.isfinite(model.theta).all():
-            raise FloatingPointError(f"non-finite parameters after step {t}")
 
         if step_callback is not None:
             step_callback(t + 1, model)

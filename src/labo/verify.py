@@ -86,8 +86,8 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
 def _stacked_logits(m: MlpModel, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Logits at input `x` of model `m` with each row of `thetas` in place of its `theta`."""
     weights, biases = m._views(thetas)
-    activations, _ = _layer_pass(x[None, None, :], weights, [b[:, None, :] for b in biases])
-    return activations[-1][:, 0, :]
+    out = m._pass_arrays()
+    return _layer_pass(x[None, None, :], weights, [b[:, None, :] for b in biases], out.pre_acts, out.hidden)[:, 0, :]
 
 
 def _fd_vs_backprop(rng, mode: str, cfg):

@@ -132,6 +132,18 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.features, [[0.5], [0.25]])
         np.testing.assert_array_equal(data.labels, [1, 0])
 
+    def test_features_are_c_contiguous_parsed_columns(self, tmp_path):
+        """The label column sits between feature columns; the rest come back C-ordered, as parsed."""
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(40, 6))
+        table[:, 2] = np.arange(40) % 4
+        path = tmp_path / "mid.csv"
+        path.write_text("a,b,label,c,d,e\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in table))
+        data = load_csv(str(path), "label")
+        assert data.features.flags.c_contiguous
+        np.testing.assert_array_equal(data.features, table[:, [0, 1, 3, 4, 5]])
+        np.testing.assert_array_equal(data.labels, table[:, 2].astype(np.int64))
+
     def test_single_class_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("a,label\n1.0,3\n2.0,3\n")
@@ -182,6 +194,12 @@ class TestDatasetInvariants:
                 num_classes=2,
                 splits={"train": np.array([0, 1]), "val": np.array([1, 2])},
             )
+
+    def test_features_are_stored_c_contiguous(self):
+        features = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+        data = Dataset(features=features, labels=np.array([0, 1] * 3), num_classes=2)
+        assert data.features.flags.c_contiguous
+        np.testing.assert_array_equal(data.features, features)
 
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValueError, match="range"):

@@ -60,3 +60,50 @@ def test_every_differing_file_is_listed_largest_move_first(same_numbers, tmp_pat
     ]
     assert lines[2].startswith("summary.json: 1 difference(s), largest relative move 1.075e-07 at $.none.test_acc[1]")
     assert lines[3].startswith("none_seed1.csv: 1 difference(s)")
+
+
+FAKE_CLI = '''"""A stand-in for labo's CLI: writes what the recipe reads, with `LOSS` as the one number."""
+import json
+import os
+import sys
+import time
+
+LOSS = {loss!r}
+
+argv = sys.argv[1:]
+if argv[0] == "verify":
+    print(json.dumps([{{"name": "cp-gradient", "passed": True, "detail": str(argv), "seconds": time.perf_counter()}}]))
+else:
+    if "--out" in argv:
+        out = argv[argv.index("--out") + 1]
+    else:
+        with open(argv[argv.index("--config") + 1]) as f:
+            out = json.load(f)["out_dir"]
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "none_seed1.csv"), "w") as f:
+        f.write(f"step,train_loss\\n200,{{LOSS!r}}\\n")
+    print(argv[0], "done")
+'''
+
+
+def fake_checkout(root, loss):
+    """A directory laid out like a labo checkout whose `labo.cli` is `FAKE_CLI`."""
+    package = root / "src" / "labo"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI.format(loss=loss))
+    return str(root)
+
+
+def test_recipe_runs_each_checkouts_own_code(same_numbers, tmp_path, capsys):
+    """Every recipe command runs in a fresh interpreter on its own checkout's src: the
+    one number the two fake CLIs write differently is the one difference named."""
+    loss = 0.30000000000000004
+    parent = fake_checkout(tmp_path / "parent", loss)
+    change = fake_checkout(tmp_path / "change", float(np.nextafter(loss, 1.0)))
+    assert same_numbers.main([parent, change]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4  # the blobs and wide train and teacher outputs; verify differs only in seconds
+    assert all(" 1 difference(s), largest relative move 1.850e-16 at line 2, column train_loss" in line for line in lines)
+    assert sorted(line.split(":")[0] for line in lines) == [
+        "blobs-teacher/none_seed1.csv", "blobs/none_seed1.csv", "wide-teacher/none_seed1.csv", "wide/none_seed1.csv"]

@@ -236,6 +236,19 @@ class TestBuildLabel:
             label = build_label(1, z, "labo", cfg)
             np.testing.assert_array_equal(label.dist, onehot(1, 3))
 
+    @pytest.mark.parametrize("z", [[2.0, 1.0, 0.0], [-3.0, 5.0, 0.1, 40.0]])
+    def test_labo_fixed_alpha_is_the_tempered_mix(self, z):
+        """Under the fixed rule the label is exactly mix_label of the tempered logits,
+        and a NaN logit still fails the one check of z."""
+        cfg = SmoothingConfig(alpha_rule="fixed", alpha=0.3, tau=1.7)
+        label = build_label(1, z, "labo", cfg)
+        expected = mix_label(1, labo_from_logits(z, cfg.tau), cfg.alpha)
+        assert label.alpha_used == expected.alpha_used == 0.3
+        np.testing.assert_array_equal(label.dist, expected.dist)
+        for rule in ("fixed", "adaptive"):
+            with pytest.raises(ValueError, match="^logits must be finite$"):
+                build_label(1, [*z[:-1], math.nan], "labo", SmoothingConfig(alpha_rule=rule, tau=1.7))
+
     def test_ls_matches_uniform_smooth(self):
         cfg = SmoothingConfig(alpha=0.1)
         label = build_label(2, np.zeros(10), "ls", cfg)

@@ -9,10 +9,12 @@ import pytest
 import labo.train as train_mod
 from labo import numerics
 from labo.data import gaussian_blobs
-from labo.model import MlpModel
+from labo.model import MlpModel, SgdOptimizer
+from labo.objectives import batch_objective
 from labo.smoothing import SmoothingConfig
 from labo.train import (
     ConfidenceHistogram,
+    EpochReport,
     TrainConfig,
     evaluate,
     run_training,
@@ -134,6 +136,79 @@ class TestDeterminismAndDetachment:
             run_training(model, small_blobs, make_cfg(mode="kd"))
 
 
+def public_api_run(model, data, cfg, teacher=None):
+    """`run_training`'s loop written from the public per-call API: `MlpModel.forward`,
+    `batch_objective`, `MlpModel.backward`, `SgdOptimizer.step` and a finite check of theta.
+    The kd rows come from the teacher table, looked up by position in the sorted train split."""
+    rng = np.random.default_rng(cfg.seed)
+    optimizer = SgdOptimizer(model, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    warmup = cfg.warmup if cfg.mode == "labo" else 0
+    train_idx, n = data.splits["train"], cfg.batch_size
+    if cfg.mode == "kd":
+        table = train_mod._teacher_log_probs(teacher, data, train_idx, n)
+    order, pos = rng.permutation(train_idx), 0
+    reports, window, best_acc, best = [], [], -1.0, None
+    for t in range(cfg.steps):
+        if pos + n > order.size:
+            order, pos = rng.permutation(train_idx), 0
+        batch, pos = order[pos : pos + n], pos + n
+        mode, smoothing = ("ls", SmoothingConfig(alpha=0.1)) if t < warmup else (cfg.mode, cfg.smoothing)
+        Z = model.forward(data.features[batch])
+        teacher_logP = table[np.searchsorted(train_idx, batch)] if mode == "kd" else None
+        _, alphas, losses, grad = batch_objective(data.labels[batch], Z, mode, smoothing, cfg.beta_cp, teacher_logP)
+        window.append(float(losses.mean()))
+        optimizer.step(model, model.backward(grad))
+        assert np.isfinite(window[-1]) and np.isfinite(model.theta).all()
+        if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.steps:
+            ev = evaluate(model, data, split="val")
+            reports.append(EpochReport(t + 1, float(np.mean(window)), ev.accuracy, ev.mean_confidence,
+                                       ev.mean_entropy, float(alphas.mean())))
+            window = []
+            if ev.accuracy > best_acc:
+                best_acc, best = ev.accuracy, model.copy()
+    return best, reports
+
+
+class TestStepAgainstThePublicApi:
+    """`run_training`'s step works in arrays it allocates once; the per-call API allocates afresh."""
+
+    CASES = {
+        "none": dict(mode="none"),
+        "ls": dict(mode="ls"),
+        "cp": dict(mode="cp", beta_cp=0.3),
+        "kd": dict(mode="kd", smoothing=SmoothingConfig(alpha=0.4)),
+        "labo-adaptive": dict(mode="labo", warmup=30),
+        "labo-fixed": dict(mode="labo", warmup=30, smoothing=SmoothingConfig(alpha=0.3, tau=2.0)),
+    }
+
+    @pytest.fixture(scope="class")
+    def six_classes(self):
+        return gaussian_blobs(6, 60, dim=4, std=1.5, seed=3)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("sizes", [[2, 16, 3], [4, 12, 8, 6]], ids=["blobs", "two-hidden-k6"])
+    def test_run_equals_the_public_api_loop(self, small_blobs, six_classes, case, sizes):
+        data = small_blobs if sizes[-1] == 3 else six_classes
+        cfg = make_cfg(steps=120, seed=2, **self.CASES[case])
+        teacher = MlpModel([data.dim, 32, data.num_classes], seed=99)
+        model, reference = MlpModel(sizes, seed=5), MlpModel(sizes, seed=5)
+        best, reports = run_training(model, data, cfg, teacher=teacher)
+        ref_best, ref_reports = public_api_run(reference, data, cfg, teacher=teacher)
+        assert (best.theta == ref_best.theta).all()
+        assert (model.theta == reference.theta).all()
+        assert reports == ref_reports and len(reports) == 3
+
+    def test_public_calls_return_fresh_arrays(self, small_blobs):
+        model = MlpModel([2, 16, 3], seed=5)
+        X, ks = small_blobs.split_arrays("train")
+        Z = model.forward(X[:32])
+        outputs = [batch_objective(ks[:32], Z, "labo", LABO_SMOOTHING) for _ in range(2)]
+        for first, second in zip(*outputs):
+            assert not np.shares_memory(first, second)
+        grads = [model.backward(outputs[0][3]) for _ in range(2)]
+        assert not np.shares_memory(*grads) and (grads[0] == grads[1]).all()
+
+
 def record_forward_inputs(model) -> list:
     """Record the input of every `model.forward` call; returns the list."""
     inputs, forward = [], model.forward
@@ -157,17 +232,24 @@ class TestTeacherTable:
 
     def test_batch_rows_equal_a_per_batch_teacher_pass(self, uneven_blobs, monkeypatch):
         """Over 50 seeded batches, the rows a step hands to the objective equal
-        log_softmax_rows(teacher.forward(X)) of that step's batch, bit for bit."""
+        log_softmax_rows(teacher.forward(X)) of that step's batch, bit for bit.
+        A step writes both into arrays it reuses, so the spies keep copies."""
         teacher = MlpModel([2, 64, 3], seed=99)
         student = MlpModel([2, 16, 3], seed=4)
-        student_inputs = record_forward_inputs(student)
-        seen, objective = [], train_mod.batch_objective
+        student_inputs, forward = [], student._forward
 
-        def spy(ks, Z, mode, smoothing, beta_cp, teacher_logP):
-            seen.append((student_inputs[-1], teacher_logP))
-            return objective(ks, Z, mode, smoothing, beta_cp, teacher_logP)
+        def forward_spy(arrays, X):
+            student_inputs.append(X.copy())
+            return forward(arrays, X)
 
-        monkeypatch.setattr(train_mod, "batch_objective", spy)
+        student._forward = forward_spy
+        seen, objective = [], train_mod._batch_objective_into
+
+        def spy(ks, Z, mode, smoothing, beta_cp, teacher_logP, buffers):
+            seen.append((student_inputs[-1], teacher_logP.copy()))
+            return objective(ks, Z, mode, smoothing, beta_cp, teacher_logP, buffers)
+
+        monkeypatch.setattr(train_mod, "_batch_objective_into", spy)
         run_training(student, uneven_blobs, make_cfg(mode="kd", steps=50, eval_every=50, seed=4), teacher=teacher)
 
         assert len(seen) == 50
