@@ -192,7 +192,7 @@ def run_recipe(checkout: Path, tree: Path) -> None:
     codes = {}
     for name, argv in commands:
         proc = subprocess.run([sys.executable, "-m", "labo.cli", *argv], cwd=tree, env=env,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, timeout=600)
         (tree / f"{name}.stdout{'.json' if '--json' in argv else '.txt'}").write_text(proc.stdout)
         if proc.stderr:
             (tree / f"{name}.stderr.txt").write_text(proc.stderr)

@@ -178,6 +178,8 @@ class _Step:
             self.table_row = np.empty(data.features.shape[0], dtype=np.intp)  # dataset row -> table row
             self.table_row[self.train_idx] = np.arange(self.train_idx.size)
             self.teacher_logP = np.empty((n, num_classes))
+        if model.input_dim != data.dim:  # what `MlpModel.forward` would say at step 0
+            raise ValueError(f"expected input dim {model.input_dim}, got shape {(n, data.dim)}")
         self.X, self.arrays = np.empty((n, data.dim)), model._pass_arrays(n)
         self.objective, self.grad = _objective_buffers(n, num_classes), np.empty_like(model.theta)
         self.grad_views, self.finite = model._views(self.grad), np.empty(model.theta.shape, dtype=bool)
@@ -185,12 +187,10 @@ class _Step:
     def __call__(self, t: int, batch: np.ndarray, mode: str, smoothing: SmoothingConfig):
         """Train on the dataset rows `batch` as step `t`; return the batch's mean loss and its alphas."""
         Z = self.model._forward(self.arrays, np.take(self.data.features, batch, axis=0, out=self.X))
-        teacher_logP = None
-        if mode == "kd":
-            teacher_logP = np.take(self.teacher_table, self.table_row[batch], axis=0, out=self.teacher_logP)
-        _, alphas, losses, grad = _batch_objective_into(
-            self.data.labels[batch], Z, mode, smoothing, self.beta_cp, teacher_logP, self.objective
-        )
+        teacher_logP = (np.take(self.teacher_table, self.table_row[batch], axis=0, out=self.teacher_logP)
+                        if mode == "kd" else None)
+        _, alphas, losses, grad = _batch_objective_into(self.data.labels[batch], Z, mode, smoothing, self.beta_cp,
+                                                        teacher_logP, self.objective)
         loss = float(np.add.reduce(losses)) / losses.size  # the bits of losses.mean()
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at step {t}")

@@ -135,6 +135,14 @@ class TestDeterminismAndDetachment:
         with pytest.raises(ValueError, match="teacher"):
             run_training(model, small_blobs, make_cfg(mode="kd"))
 
+    def test_model_of_another_input_width_fails_before_any_step(self, small_blobs):
+        """The step skips `forward`'s input check, so building it says what `forward` would."""
+        steps = []
+        with pytest.raises(ValueError, match=r"^expected input dim 3, got shape \(32, 2\)$"):
+            run_training(MlpModel([3, 16, 3], seed=1), small_blobs, make_cfg(mode="none"),
+                         step_callback=lambda t, m: steps.append(t))
+        assert steps == []
+
 
 def public_api_run(model, data, cfg, teacher=None):
     """`run_training`'s loop written from the public per-call API: `MlpModel.forward`,
