@@ -159,8 +159,8 @@ def _teacher_log_probs(teacher: MlpModel, data: Dataset, rows: np.ndarray, batch
 class _Step:
     """One `run_training` step over arrays allocated once per run: the batch gather, then the implementations
     behind `MlpModel.forward`, `batch_objective`, `MlpModel.backward` and `SgdOptimizer.step`, so each result
-    has the bits of those calls, and the finite checks. Building it checks the SGD settings, the batch size
-    and the kd teacher, and computes the teacher table."""
+    has the bits of those calls, and the finite checks. Building it checks the SGD settings, the batch size,
+    the kd teacher and the model's input width, and computes the teacher table."""
 
     def __init__(self, model: MlpModel, data: Dataset, cfg: TrainConfig, teacher=None):
         n, num_classes = cfg.batch_size, model.num_classes
