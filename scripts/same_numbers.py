@@ -4,14 +4,17 @@
     python scripts/same_numbers.py A B             # two output trees made earlier
 
 Given two checkouts, the recipe runs in each, every command a fresh
-`python -m labo.cli` with that checkout's `src` on PYTHONPATH, one BLAS
-thread, and a working directory of its own under a temporary directory:
+interpreter with that checkout's `src` on PYTHONPATH, one BLAS thread, and
+a working directory of its own under a temporary directory:
 
 - `labo teacher`, then `labo train` in the five modes, on the blobs problem
   of configs/blobs_comparison.json at 600 steps (warm-up 150) and seeds 1, 2;
 - `labo teacher`, then a `kd`/`none` `labo train`, on a 100-class CSV the
   script generates from a fixed seed;
-- `labo verify --json`, full and `--quick`, at the default seed and at 0, 1, 7.
+- `labo verify --json`, full and `--quick`, at the default seed and at 0, 1, 7;
+- `scripts/public_values.py`: every public per-instance function on one
+  seeded set of inputs, and `labo smooth` on a grid of 5 logit vectors x
+  tau in {0.5, 1, 1.25, 10} x rho in {0.5, 0.75, 1}, into one JSON file.
 
 Each command's stdout is kept (`.json` for `--json`), its stderr if any,
 and every exit code in `exit_codes.json`; the two trees are then compared.
@@ -162,36 +165,45 @@ def wide_csv() -> str:
 
 
 def recipe() -> tuple[dict, list]:
-    """The input files (name -> text) and the commands (name, labo argv) of the recipe, in order."""
+    """The input files (name -> text) and the commands (name, interpreter argv) of the recipe, in order."""
     blobs = {"dataset": BLOBS, "hidden": [32], "train": TRAIN, "modes": ["none", "ls", "cp", "kd", "labo"],
              "seeds": [1, 2], "out_dir": "blobs", "teacher_checkpoint": "blobs-teacher/teacher.checkpoint.json"}
     wide = {"dataset": {"kind": "csv", "path": "wide.csv", "label_column": "label"}, "hidden": [64],
             "train": {**TRAIN, "steps": 200, "warmup": 0, "eval_every": 50}, "modes": ["kd", "none"], "seeds": [1],
             "out_dir": "wide", "teacher_checkpoint": "wide-teacher/teacher.checkpoint.json"}
     files = {"blobs.json": json.dumps(blobs, indent=1), "wide.json": json.dumps(wide, indent=1), "wide.csv": wide_csv()}
+    labo = ["-m", "labo.cli"]
     commands = []
     for name in ("blobs", "wide"):
-        commands.append((f"{name}-teacher", ["teacher", "--config", f"{name}.json", "--out", f"{name}-teacher"]))
-        commands.append((f"{name}-train", ["train", "--config", f"{name}.json"]))
+        commands.append((f"{name}-teacher",
+                         [*labo, "teacher", "--config", f"{name}.json", "--out", f"{name}-teacher"]))
+        commands.append((f"{name}-train", [*labo, "train", "--config", f"{name}.json"]))
     for seed in (None, 0, 1, 7):
         for quick in (False, True):
-            argv = ["verify", "--json"] + ["--quick"] * quick + ([] if seed is None else ["--seed", str(seed)])
+            argv = [*labo, "verify", "--json"] + ["--quick"] * quick + ([] if seed is None else ["--seed", str(seed)])
             commands.append((f"verify{'-quick' * quick}-seed-{'default' if seed is None else seed}", argv))
+    commands.append(("public-values", [str(Path(__file__).resolve().with_name("public_values.py")), "public_values.json"]))
     return files, commands
+
+
+def checkout_env(checkout: Path) -> dict:
+    """The environment of a fresh interpreter that runs the labo of `checkout` on one BLAS thread."""
+    env = {key: value for key, value in os.environ.items() if key != "LABO_OUT"}
+    env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
 
 
 def run_recipe(checkout: Path, tree: Path) -> None:
     """Run the recipe with the labo of `checkout`, writing every output under `tree`."""
-    env = {key: value for key, value in os.environ.items() if key != "LABO_OUT"}
-    env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = checkout_env(checkout)
     files, commands = recipe()
     tree.mkdir(parents=True)
     for name, text in files.items():
         (tree / name).write_text(text)
     codes = {}
     for name, argv in commands:
-        proc = subprocess.run([sys.executable, "-m", "labo.cli", *argv], cwd=tree, env=env,
+        proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
                               capture_output=True, text=True, timeout=600)
         (tree / f"{name}.stdout{'.json' if '--json' in argv else '.txt'}").write_text(proc.stdout)
         if proc.stderr:

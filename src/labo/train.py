@@ -186,8 +186,8 @@ class _Step:
 
     def __call__(self, t: int, batch: np.ndarray, mode: str, smoothing: SmoothingConfig):
         """Train on the dataset rows `batch` as step `t`; return the batch's mean loss and its alphas."""
-        Z = self.model._forward(self.arrays, np.take(self.data.features, batch, axis=0, out=self.X))
-        teacher_logP = (np.take(self.teacher_table, self.table_row[batch], axis=0, out=self.teacher_logP)
+        Z = self.model._forward(self.arrays, self.data.features.take(batch, 0, out=self.X))
+        teacher_logP = (self.teacher_table.take(self.table_row[batch], 0, out=self.teacher_logP)
                         if mode == "kd" else None)
         _, alphas, losses, grad = _batch_objective_into(self.data.labels[batch], Z, mode, smoothing, self.beta_cp,
                                                         teacher_logP, self.objective)
@@ -196,7 +196,7 @@ class _Step:
             raise FloatingPointError(f"non-finite training loss at step {t}")
         self.model._backward(self.arrays, grad, *self.grad_views)
         self.optimizer.step(self.model, self.grad)
-        if not np.isfinite(self.model.theta, out=self.finite).all():
+        if not np.logical_and.reduce(np.isfinite(self.model.theta, out=self.finite)):
             raise FloatingPointError(f"non-finite parameters after step {t}")
         return loss, alphas
 

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from labo.numerics import PROB_SUM_TOL, entropy, log_softmax, log_softmax_rows, onehot, softmax, uniform
 from labo.objectives import (
     ObjectiveBreakdown,
+    _batch_objective_into,
+    _objective_buffers,
     batch_objective,
     cp_grad_wrt_logits,
     cp_loss,
@@ -358,6 +360,33 @@ class TestBatchObjective:
                 np.testing.assert_array_equal(grad[i], cp_grad_wrt_logits(k, z, beta_cp) / n)
             else:
                 np.testing.assert_allclose(grad[i], grad_wrt_logits(single, z) / n, rtol=0, atol=1e-14)
+
+
+class TestClassMajorLayout:
+    """For K <= 7 the batch objective runs class-major; the row-major layout is the reference."""
+
+    @pytest.mark.parametrize("alpha_rule", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    @pytest.mark.parametrize("num_classes", [2, 3, 7])
+    def test_layouts_give_the_same_bits(self, num_classes, mode, alpha_rule):
+        rng = np.random.default_rng([num_classes, len(mode)])
+        cfg = SmoothingConfig(alpha_rule=alpha_rule, alpha=0.3, rho=0.75, tau=1.25)
+        n = 128
+        layouts = [_objective_buffers(n, num_classes, class_major=False), _objective_buffers(n, num_classes)]
+        for scale in (0.1, 3.0, 30.0, 1e3):  # the same batches in both layouts, each reusing its arrays
+            Z = _random_logits(rng, n, num_classes, scale)
+            ks = rng.integers(num_classes, size=n)
+            teacher_logP = log_softmax_rows(_random_logits(rng, n, num_classes, scale))
+            row_major, class_major = (
+                [out.copy() for out in _batch_objective_into(ks, Z, mode, cfg, 0.3, teacher_logP, b)] for b in layouts)
+            for name, a, b in zip(("labels", "alphas", "losses", "grad"), row_major, class_major):
+                assert a.shape == b.shape and (a == b).all(), name
+
+    def test_layout_is_picked_from_the_class_count(self):
+        for num_classes in (2, 3, 7, 8, 100):
+            b = _objective_buffers(16, num_classes)
+            assert b.labels.flags.f_contiguous == (num_classes <= 7), num_classes
+            assert b.grad.flags.c_contiguous  # the gradient `_backward` reads is row-major in both
 
 
 def test_adaptive_alpha_is_held_fixed_in_the_labo_gradient():

@@ -1,11 +1,14 @@
 """`scripts/same_numbers.py`: two output trees compared value by value."""
 
 import importlib.util
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
+
+import labo
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,10 +73,14 @@ import time
 
 LOSS = {loss!r}
 
-argv = sys.argv[1:]
-if argv[0] == "verify":
-    print(json.dumps([{{"name": "cp-gradient", "passed": True, "detail": str(argv), "seconds": time.perf_counter()}}]))
-else:
+
+def main(argv):
+    if argv[0] == "verify":
+        print(json.dumps([{{"name": "cp-gradient", "passed": True, "detail": str(argv), "seconds": time.perf_counter()}}]))
+        return 0
+    if argv[0] == "smooth":
+        print(json.dumps({{"argv": argv}}))
+        return 0
     if "--out" in argv:
         out = argv[argv.index("--out") + 1]
     else:
@@ -83,6 +90,11 @@ else:
     with open(os.path.join(out, "none_seed1.csv"), "w") as f:
         f.write(f"step,train_loss\\n200,{{LOSS!r}}\\n")
     print(argv[0], "done")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
 '''
 
 
@@ -107,3 +119,21 @@ def test_recipe_runs_each_checkouts_own_code(same_numbers, tmp_path, capsys):
     assert all(" 1 difference(s), largest relative move 1.850e-16 at line 2, column train_loss" in line for line in lines)
     assert sorted(line.split(":")[0] for line in lines) == [
         "blobs-teacher/none_seed1.csv", "blobs/none_seed1.csv", "wide-teacher/none_seed1.csv", "wide/none_seed1.csv"]
+
+
+def test_public_values_call_every_public_per_instance_function():
+    """`scripts/public_values.py` covers each public function of `labo` that acts on one instance, and
+    every one of its calls and `labo smooth` grid points succeeds on the current code."""
+    path = os.path.join(REPO_ROOT, "scripts", "public_values.py")
+    spec = importlib.util.spec_from_file_location("public_values", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    functions = {name for name, value in vars(labo).items() if inspect.isfunction(value)}
+    assert functions == (module.CALLS.keys() - {"cp_grad_wrt_logits"}) | module.NOT_PER_INSTANCE
+    doc = module.values()
+    assert doc["instances"].keys() == {f"K={k}" for k in (2, 3, 7, 8, 10)}
+    assert doc["calls"].keys() == module.CALLS.keys()
+    assert all(by_k.keys() == doc["instances"].keys() for by_k in doc["calls"].values())
+    raised = [(name, k) for name, by_k in doc["calls"].items() for k, result in by_k.items() if "value" not in result]
+    assert raised == []
+    assert len(doc["smooth"]) == 60 and all(entry["exit"] == 0 for entry in doc["smooth"].values())

@@ -102,6 +102,19 @@ class TestWarmupEquivalence:
         np.testing.assert_array_equal(params[0], params[1])
 
 
+class TestReportSteps:
+    def test_last_step_is_reported_when_eval_every_does_not_divide_steps(self, small_blobs):
+        """Reports come at every multiple of eval_every and at the last step; the best model is
+        the first with the highest validation accuracy over all of those evaluations."""
+        snapshots = {}
+        best, reports = run_training(MlpModel([2, 16, 3], seed=1), small_blobs, make_cfg(steps=130, eval_every=40),
+                                     step_callback=lambda t, m: snapshots.__setitem__(t, m.copy()))
+        assert [r.step for r in reports] == [40, 80, 120, 130]
+        accuracies = [evaluate(snapshots[r.step], small_blobs).accuracy for r in reports]
+        assert accuracies == [r.val_acc for r in reports]
+        assert (best.theta == snapshots[reports[int(np.argmax(accuracies))].step].theta).all()
+
+
 class TestDeterminismAndDetachment:
     def test_identical_configs_give_identical_runs(self, small_blobs):
         reports, params = [], []
@@ -193,10 +206,15 @@ class TestStepAgainstThePublicApi:
     def six_classes(self):
         return gaussian_blobs(6, 60, dim=4, std=1.5, seed=3)
 
+    @pytest.fixture(scope="class")
+    def eight_classes(self):
+        return gaussian_blobs(8, 40, dim=3, std=1.0, seed=11)
+
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("sizes", [[2, 16, 3], [4, 12, 8, 6]], ids=["blobs", "two-hidden-k6"])
-    def test_run_equals_the_public_api_loop(self, small_blobs, six_classes, case, sizes):
-        data = small_blobs if sizes[-1] == 3 else six_classes
+    @pytest.mark.parametrize("sizes", [[2, 16, 3], [4, 12, 8, 6], [3, 12, 8]], ids=["blobs", "two-hidden-k6", "k8"])
+    def test_run_equals_the_public_api_loop(self, small_blobs, six_classes, eight_classes, case, sizes):
+        """K = 3 and 6 run the objective class-major, K = 8 row-major (`_objective_buffers`)."""
+        data = {3: small_blobs, 6: six_classes, 8: eight_classes}[sizes[-1]]
         cfg = make_cfg(steps=120, seed=2, **self.CASES[case])
         teacher = MlpModel([data.dim, 32, data.num_classes], seed=99)
         model, reference = MlpModel(sizes, seed=5), MlpModel(sizes, seed=5)
