@@ -17,9 +17,10 @@ import labo.objectives as objectives_mod
 import labo.smoothing as smoothing_mod
 from labo.cli import ExperimentConfig, _load_experiment, build_dataset, main
 from labo.model import MlpModel, load_checkpoint, save_checkpoint
+import golden
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TEMPERED_210_TAU2 = [0.50648039105565403, 0.3071958857184984, 0.18632372322584758]
+TEMPERED_210_TAU2 = golden.value("labo_from_logits", "q", z="K3-210", tau=2.0)
 
 
 def strict_json(text):

@@ -1,7 +1,7 @@
 """Probability kernel tests.
 
-Expected values tagged as derived were computed once with mpmath at 50
-decimal digits and frozen here; the kernels themselves never see
+Expected values tagged as derived are 50-digit mpmath values read from the
+golden table (`golden.py`); the kernels themselves never see
 arbitrary-precision arithmetic.
 """
 
@@ -23,14 +23,15 @@ from labo.numerics import (
     tempered_softmax,
     uniform,
 )
+import golden
 from conftest import interior_simplex
 
-# mpmath (50 dps) evaluations, frozen
-SOFTMAX_210 = [0.66524095577482189, 0.24472847105479765, 0.090030573170380458]
-LOG_SOFTMAX_210 = [-0.4076059644443803, -1.4076059644443803, -2.4076059644443803]
-ENTROPY_721 = 0.80181855254333731
-KL_721_U3 = 0.29679373612477238
-TEMPERED_210_TAU2 = [0.50648039105565403, 0.3071958857184984, 0.18632372322584758]
+# golden values at z = (2, 1, 0) and p = (0.7, 0.2, 0.1)
+SOFTMAX_210 = golden.value("softmax", "p", z="K3-210")
+LOG_SOFTMAX_210 = golden.value("log_softmax", "logp", z="K3-210")
+ENTROPY_721 = golden.value("entropy", "h", p="K3-721")
+KL_721_U3 = golden.value("kl_div", "kl", p="K3-721", q="uniform")
+TEMPERED_210_TAU2 = golden.value("labo_from_logits", "q", z="K3-210", tau=2.0)
 
 logit_lists = st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=10)
 

@@ -29,16 +29,16 @@ from labo.objectives import (
 )
 from labo.smoothing import SmoothingConfig, build_label, labo_from_logits, mix_label, uniform_smooth
 from labo.train import TRAIN_MODES
+import golden
 from conftest import interior_simplex
 
-# mpmath (50 dps), k=0, K=3, uniform LS alpha=0.1, z=(2,1,0)
-SMOOTHED_CE_EX = 0.5076059644443803
-# mpmath, k=0, z=(2,1,0), beta_cp=0.1
-CP_EX = 0.32436640626038642
-# mpmath, k=0, z=(2,1,0), p_ls = tempered(tau=2), alpha=0.4, beta=0.8
-UNIFIED_CE_EX = 0.67954329731245772
-UNIFIED_KL_EX = 0.062736761553022672
-UNIFIED_TOTAL_EX = 0.7422800588654804
+# golden values at k = 0, z = (2, 1, 0): uniform LS with alpha = 0.1
+SMOOTHED_CE_EX = golden.value("objective", "loss", z="K3-210", mode="ls", alpha=0.1)
+# beta_cp = 0.1
+CP_EX = golden.value("objective", "loss", z="K3-210", mode="cp", beta_cp=0.1)
+# p_ls = tempered(tau=2), alpha = 0.4, beta = 0.8
+UNIFIED_CE_EX, UNIFIED_KL_EX, UNIFIED_TOTAL_EX = (golden.value("objective", term, z="K3-210", mode="labo", alpha=0.4,
+                                                                tau=2.0) for term in ("ce_term", "kl_term", "loss"))
 
 # Bound on |batch row loss - per-instance loss| / ((1 + beta) * max(1, |loss|)),
 # with beta = alpha * tau for labo and 0 otherwise: the two routes round the

@@ -21,9 +21,10 @@ from labo.oracle import (
     verify_closed_form,
 )
 from labo.smoothing import labo_optimal_smoothing
+import golden
 from conftest import by_class_count, closed_form_instances, interior_simplex
 
-LABO_721_TAU2 = [0.52287938300786971, 0.27949078654617094, 0.19762983044595936]
+LABO_721_TAU2 = golden.value("labo_optimal_smoothing", "q", p="K3-721", tau=2.0)
 
 
 class TestSolveInnerNumeric:

@@ -1,6 +1,7 @@
 """Smoothed-label construction tests.
 
-Derived expectations frozen from a 50-digit mpmath evaluation.
+Derived expectations are 50-digit mpmath values read from the golden table
+(`golden.py`).
 """
 
 import math
@@ -23,13 +24,14 @@ from labo.smoothing import (
     mix_label,
     uniform_smooth,
 )
+import golden
 from conftest import interior_simplex
 
-LABO_721_TAU2 = [0.52287938300786971, 0.27949078654617094, 0.19762983044595936]
-ADAPTIVE_721_RHO05 = 0.63507665041895123
-ADAPTIVE_SM210_RHO05 = 0.62116044466920885
-# (1 - a) * onehot(0) + a * tempered_softmax((2,1,0), 2) with a = adaptive
-LABO_LABEL_EX = [0.69344514025515599, 0.19081793297345393, 0.11573692677139008]
+LABO_721_TAU2 = golden.value("labo_optimal_smoothing", "q", p="K3-721", tau=2.0)
+ADAPTIVE_721_RHO05 = golden.value("adaptive_alpha", "alpha", p="K3-721", rho=0.5)
+# (1 - a) * onehot(0) + a * tempered_softmax((2,1,0), 2) with a = adaptive_alpha(softmax((2,1,0)), 0.5)
+ADAPTIVE_SM210_RHO05 = golden.value("objective", "alpha", z="K3-210", mode="labo", rho=0.5, tau=2.0)
+LABO_LABEL_EX = golden.value("objective", "label", z="K3-210", mode="labo", rho=0.5, tau=2.0)
 
 
 class TestSmoothingConfig:
