@@ -184,8 +184,7 @@ def objective_row(name, mode, **params) -> dict:
 def rows() -> list:
     out = []
     for name in GRID:
-        k, spec = LOGITS[name]
-        z = logit_values(spec)
+        z = logit_values(LOGITS[name][1])
         logp = m_log_softmax(z)
         out.append(row("softmax", {"p": [exp(v) for v in logp]}, name))
         out.append(row("log_softmax", {"logp": logp}, name))

@@ -5,13 +5,14 @@
 `scripts/same_numbers.py` runs this in each checkout it compares. It calls
 every function of `CALLS` on each instance of `instances()` (seeded, with
 K in {2, 3, 7, 8, 10}: both sides of the batch objective's layout
-threshold), and `labo.cli.main` on the `labo smooth` grid `SMOOTH_LOGITS` x
-`SMOOTH_TAUS` x `SMOOTH_RHOS`. Results are keyed by their inputs (the
-instance's K, the `labo smooth` flags), so a differing value's JSON path
-names them. A call that raises is recorded as its exception's type and
-message; a `labo smooth` call as its exit code, stdout (parsed when it is
-JSON) and stderr. Floats are written with `repr`, so the document holds
-every bit.
+threshold; and the K = 3 instance again with a teacher that has a zero
+entry and with a one-hot teacher), and `labo.cli.main` on the `labo smooth`
+grid `SMOOTH_LOGITS` x `SMOOTH_TAUS` x `SMOOTH_RHOS`. Results are keyed by
+their inputs (the instance's K and teacher, the `labo smooth` flags), so a
+differing value's JSON path names them. A call that raises is recorded as
+its exception's type and message; a `labo smooth` call as its exit code,
+stdout (parsed when it is JSON) and stderr. Floats are written with `repr`,
+so the document holds every bit.
 """
 
 from __future__ import annotations
@@ -72,12 +73,16 @@ NOT_PER_INSTANCE = {"gaussian_blobs", "load_csv", "load_idx", "load_checkpoint",
                     "run_training", "train_teacher"}
 
 
-def instances() -> list:
-    """One seeded instance per class count: logits, class, teacher, smoothing distribution and weights."""
+def instances() -> dict:
+    """Instances by name: logits, class, teacher, smoothing distribution and weights.
+
+    One seeded instance per class count, "K=..", and the K = 3 one with two
+    teachers that have zero entries, where kd takes 0 * log 0 as 0.
+    """
     rng = np.random.default_rng(SEED)
-    out = []
+    out = {}
     for num_classes in CLASS_COUNTS:
-        out.append({
+        out[f"K={num_classes}"] = {
             "z": rng.normal(0.0, 3.0, size=num_classes),
             "k": int(rng.integers(num_classes)),
             "teacher": rng.dirichlet(np.ones(num_classes)),
@@ -86,7 +91,9 @@ def instances() -> list:
             "tau": float(rng.uniform(0.5, 10.0)),
             "rho": float(rng.uniform(0.5, 1.0)),
             "beta_cp": float(rng.uniform(0.0, 1.0)),
-        })
+        }
+    for teacher in ([0.7, 0.3, 0.0], [0.0, 1.0, 0.0]):
+        out[f"K=3 teacher={','.join(map(repr, teacher))}"] = {**out["K=3"], "teacher": np.array(teacher)}
     return out
 
 
@@ -117,8 +124,8 @@ def _smooth(argv: list) -> dict:
 
 
 def values() -> dict:
-    """{"instances": {"K=..": inputs}, "calls": {function: {"K=..": result}}, "smooth": {flags: result}}."""
-    cases = {f"K={c['z'].size}": c for c in instances()}
+    """{"instances": {name: inputs}, "calls": {function: {name: result}}, "smooth": {flags: result}}."""
+    cases = instances()
     calls = {}
     for name, call in CALLS.items():
         calls[name] = {}

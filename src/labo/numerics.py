@@ -50,12 +50,12 @@ def check_prob_vec(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 2:
         raise ValueError(f"probability vector must be 1-D with K >= 2, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability vector must be finite")
-    if np.any(p < 0):
-        raise ValueError(f"probability vector has negative entries (min {p.min()})")
     s = p.sum()
-    if abs(s - 1.0) > PROB_SUM_TOL:
+    if not (p.min() >= 0 and abs(s - 1.0) <= PROB_SUM_TOL):  # two reductions; a nan or inf entry fails one
+        if not np.isfinite(p).all():
+            raise ValueError("probability vector must be finite")
+        if (p < 0).any():
+            raise ValueError(f"probability vector has negative entries (min {p.min()})")
         raise ValueError(f"probability vector sums to {s!r}, expected 1 within {PROB_SUM_TOL}")
     return p
 
@@ -133,6 +133,6 @@ def kl_div(p, q) -> float:
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     mask = p > 0
-    if np.any(q[mask] == 0):
+    if (q[mask] == 0).any():
         raise ValueError("support violation: p has mass where q is zero")
     return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())

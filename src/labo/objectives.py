@@ -10,9 +10,9 @@ and distillation with temperature 1 is the p_ls = teacher special case up
 to an additive constant (see `kd_decomposition_residual`).
 
 `batch_objective` computes the labels, losses and logit gradient of a training
-batch in one pass, for every mode. `smoothed_ce`, `unified_objective` and
-`kd_loss` are the reference definitions its rows are tested against; `cp_loss`
-and `cp_grad_wrt_logits` are checked one-row views of its "cp" mode. Batch
+batch in one pass, for every mode; `kd_loss`, `cp_loss` and `cp_grad_wrt_logits`
+are checked one-row views of it. Its rows, `smoothed_ce` and `unified_objective`
+are pinned to 50-digit goldens (`scripts/derive_test_constants.py`). Batch
 reduction is the arithmetic mean, which keeps gradient scale independent of batch size.
 """
 
@@ -66,47 +66,43 @@ def unified_objective(k: int, z, p_ls, alpha: float, beta: float) -> ObjectiveBr
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     label = mix_label(k, p_ls, alpha)  # checks p_ls
-    ce = smoothed_ce(label, z)
-    kl = beta * numerics.kl_div(p_ls, uniform(label.dist.shape[0]))
-    return ObjectiveBreakdown.of(ce, kl)
+    return ObjectiveBreakdown.of(smoothed_ce(label, z), beta * numerics.kl_div(p_ls, uniform(label.dist.shape[0])))
 
 
-def _cp_row(k: int, z, beta_cp: float):
-    """Loss and logit gradient of `batch_objective`'s "cp" mode on the one-row batch (k, z), checked first."""
+def _one_row(k: int, z, mode: str, cfg, beta_cp: float = 0.0, teacher_p=None):
+    """Loss and logit gradient of `batch_objective`'s `mode` on the one-row batch (k, z), checked first."""
     if beta_cp < 0:
         raise ValueError(f"beta_cp must be >= 0, got {beta_cp}")
     z = check_logits(z)
+    if teacher_p is not None and teacher_p.shape != z.shape:  # kd's teacher distribution, checked
+        raise ValueError(f"shape mismatch: teacher {teacher_p.shape} vs logits {z.shape}")
     check_class_index(k, z.shape[0])  # before indexing: k = -1 would read the last class
-    _, _, losses, grad = batch_objective(np.array([k]), z[None, :], "cp", SmoothingConfig(), beta_cp)
+    with np.errstate(divide="ignore"):  # a teacher's log 0 = -inf, which `batch_objective` takes as 0 * log 0 = 0
+        teacher_logP = None if teacher_p is None else np.log(teacher_p[None, :])
+    _, _, losses, grad = batch_objective(np.array([k]), z[None, :], mode, cfg, beta_cp, teacher_logP)
     return float(losses[0]), grad[0]
 
 
 def cp_loss(k: int, z, beta_cp: float) -> float:
     """Cross entropy minus beta_cp * H(p): a penalty on confident (low-entropy) outputs."""
-    return _cp_row(k, z, beta_cp)[0]
+    return _one_row(k, z, "cp", None, beta_cp)[0]  # cp reads no smoothing setting
 
 
 def cp_grad_wrt_logits(k: int, z, beta_cp: float) -> np.ndarray:
     """Analytic gradient of `cp_loss` with respect to the logits: p - onehot(k) + beta_cp * p * (log p + H(p))."""
-    return _cp_row(k, z, beta_cp)[1]
+    return _one_row(k, z, "cp", None, beta_cp)[1]
 
 
 def kd_loss(k: int, z, teacher_p, alpha: float) -> float:
     """Distillation loss at temperature 1.
 
     (1 - alpha) * CE(onehot(k), p) + alpha * KL(teacher || p), with the KL
-    taken against log p so that saturated logits stay finite.
+    taken against log p so that saturated logits stay finite, and 0 * log 0 := 0.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    teacher_p = check_prob_vec(teacher_p)
-    logp = numerics.log_softmax(z)
-    if teacher_p.shape != logp.shape:
-        raise ValueError(f"shape mismatch: teacher {teacher_p.shape} vs logits {logp.shape}")
-    check_class_index(k, logp.shape[0])
-    mask = teacher_p > 0
-    kl = (teacher_p[mask] * (np.log(teacher_p[mask]) - logp[mask])).sum()
-    return float((1.0 - alpha) * -logp[k] + alpha * kl)
+    # alpha is checked above: a namespace spares checking a whole SmoothingConfig again (8 us)
+    return _one_row(k, z, "kd", SimpleNamespace(alpha=alpha), teacher_p=check_prob_vec(teacher_p))[0]
 
 
 def kd_decomposition_residual(k: int, z, teacher_p, alpha: float) -> float:
@@ -120,11 +116,7 @@ def kd_decomposition_residual(k: int, z, teacher_p, alpha: float) -> float:
     lhs = kd_loss(k, z, teacher_p, alpha)  # checks alpha, teacher_p, z and their shapes
     label = mix_label(k, teacher_p, alpha)
     num_classes = label.dist.shape[0]
-    rhs = (
-        smoothed_ce(label, z)
-        + alpha * numerics.kl_div(teacher_p, uniform(num_classes))
-        - alpha * np.log(num_classes)
-    )
+    rhs = smoothed_ce(label, z) + alpha * numerics.kl_div(teacher_p, uniform(num_classes)) - alpha * np.log(num_classes)
     return float(abs(lhs - rhs))
 
 
@@ -147,18 +139,19 @@ def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0
     """Labels, per-row losses and mean-loss logit gradient of one batch.
 
     `mode` is a training mode: one of `smoothing.MODES`, or "cp" (one-hot
-    labels plus the confidence penalty). Row i matches the per-instance
-    path: the label is `build_label`, the loss is `smoothed_ce` (none, ls),
-    `unified_objective` with beta = alpha * tau (labo), `kd_loss` (kd) or
-    `cp_loss` (cp), and the gradient row is the per-instance logit gradient
-    divided by n. `teacher_logP` holds the (n, K) teacher log-probabilities
-    that kd requires.
+    labels plus the confidence penalty). Rows are pinned to 50-digit goldens
+    and match the per-instance path: the label is `build_label`, the loss
+    `smoothed_ce` (none, ls) or `unified_objective` with beta = alpha * tau
+    (labo), the gradient row `grad_wrt_logits` / n; `kd_loss` and `cp_loss`
+    are its kd and cp rows. `teacher_logP` holds kd's (n, K) teacher log-
+    probabilities: -inf counts as 0 * log 0 = 0, finite entries keep their bits.
 
     Returns (labels, alphas, losses, grad) of shapes (n, K), (n,), (n,),
     (n, K). Labels and alphas are rebuilt from Z on every call and held
     fixed in grad, so an adaptive alpha(z) counts as a per-row constant.
     For K <= 7 it runs class-major, with the same bits (`_objective_buffers`).
     """
+    teacher_logP = None if teacher_logP is None else np.maximum(teacher_logP, -np.finfo(float).max)
     return _batch_objective_into(ks, Z, mode, cfg, beta_cp, teacher_logP, _objective_buffers(*Z.shape))
 
 

@@ -146,7 +146,8 @@ def _teacher_log_probs(teacher: MlpModel, data: Dataset, rows: np.ndarray, batch
     teacher matmul has the shape of a per-batch call. A row then gets the
     same bits as in a per-batch call wherever BLAS computes a row
     independently of its place in the block (on OpenBLAS, batch sizes that
-    are a multiple of the kernel's row unroll, such as 32 or 128).
+    are a multiple of the kernel's row unroll, such as 32 or 128). Entries
+    are finite (never -inf), so the step needs no `batch_objective` clamp.
     """
     table = np.empty((rows.size, teacher.num_classes))
     for start in range(0, rows.size, batch_size):

@@ -131,7 +131,8 @@ def test_public_values_call_every_public_per_instance_function():
     functions = {name for name, value in vars(labo).items() if inspect.isfunction(value)}
     assert functions == (module.CALLS.keys() - {"cp_grad_wrt_logits"}) | module.NOT_PER_INSTANCE
     doc = module.values()
-    assert doc["instances"].keys() == {f"K={k}" for k in (2, 3, 7, 8, 10)}
+    assert doc["instances"].keys() == {f"K={k}" for k in (2, 3, 7, 8, 10)} | {"K=3 teacher=0.7,0.3,0.0",
+                                                                                "K=3 teacher=0.0,1.0,0.0"}
     assert doc["calls"].keys() == module.CALLS.keys()
     assert all(by_k.keys() == doc["instances"].keys() for by_k in doc["calls"].values())
     raised = [(name, k) for name, by_k in doc["calls"].items() for k, result in by_k.items() if "value" not in result]
