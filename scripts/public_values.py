@@ -4,15 +4,16 @@
 
 `scripts/same_numbers.py` runs this in each checkout it compares. It calls
 every function of `CALLS` on each instance of `instances()` (seeded, with
-K in {2, 3, 7, 8, 10}: both sides of the batch objective's layout
-threshold; and the K = 3 instance again with a teacher that has a zero
-entry and with a one-hot teacher), and `labo.cli.main` on the `labo smooth`
-grid `SMOOTH_LOGITS` x `SMOOTH_TAUS` x `SMOOTH_RHOS`. Results are keyed by
-their inputs (the instance's K and teacher, the `labo smooth` flags), so a
-differing value's JSON path names them. A call that raises is recorded as
-its exception's type and message; a `labo smooth` call as its exit code,
-stdout (parsed when it is JSON) and stderr. Floats are written with `repr`,
-so the document holds every bit.
+K in {2, 3, 7, 8, 10, 100}: both sides of the batch objective's layout
+threshold, and at K = 100 logits spread over a range of about 700, where a
+tiny probability exp(log p) is least accurate; and the K = 3 instance again
+with a teacher that has a zero entry and with a one-hot teacher), and
+`labo.cli.main` on the `labo smooth` grid `SMOOTH_LOGITS` x `SMOOTH_TAUS` x
+`SMOOTH_RHOS`. Results are keyed by their inputs (the instance's K and
+teacher, the `labo smooth` flags), so a differing value's JSON path names
+them. A call that raises is recorded as its exception's type and message;
+a `labo smooth` call as its exit code, stdout (parsed when it is JSON) and
+stderr. Floats are written with `repr`, so the document holds every bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 import labo
 
 SEED = 2024
-CLASS_COUNTS = (2, 3, 7, 8, 10)
+CLASS_COUNTS = (2, 3, 7, 8, 10, 100)
+WIDE_K = 100  # its logits are uniform on [-350, 350], so many tiny probabilities sit near the top ones
 SMOOTH_LOGITS = ("2,1,0", "3,-1,0.5", "0,0,0,0", "4,-2,1,0.5,-3,2,0", "1.5,-0.5,3,2,-1,0.25,-2,1")
 SMOOTH_TAUS = (0.5, 1.0, 1.25, 10.0)
 SMOOTH_RHOS = (0.5, 0.75, 1.0)
@@ -76,14 +78,16 @@ NOT_PER_INSTANCE = {"gaussian_blobs", "load_csv", "load_idx", "load_checkpoint",
 def instances() -> dict:
     """Instances by name: logits, class, teacher, smoothing distribution and weights.
 
-    One seeded instance per class count, "K=..", and the K = 3 one with two
-    teachers that have zero entries, where kd takes 0 * log 0 as 0.
+    One seeded instance per class count, "K=..", whose K = 100 logits span
+    about 700, and the K = 3 one with two teachers that have zero entries,
+    where kd takes 0 * log 0 as 0.
     """
     rng = np.random.default_rng(SEED)
     out = {}
     for num_classes in CLASS_COUNTS:
         out[f"K={num_classes}"] = {
-            "z": rng.normal(0.0, 3.0, size=num_classes),
+            "z": (rng.uniform(-350.0, 350.0, size=num_classes) if num_classes == WIDE_K
+                  else rng.normal(0.0, 3.0, size=num_classes)),
             "k": int(rng.integers(num_classes)),
             "teacher": rng.dirichlet(np.ones(num_classes)),
             "p_ls": 0.9 * rng.dirichlet(np.ones(num_classes)) + 0.1 / num_classes,

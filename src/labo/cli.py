@@ -30,7 +30,7 @@ from .io import atomic_write_text, write_json
 from .model import MlpModel, load_checkpoint, param_count, save_checkpoint
 from .objectives import unified_objective
 from .schema import DATASET_KINDS, DATASETS, EXPERIMENT, Config, check
-from .smoothing import SmoothingConfig, adaptive_alpha, labo_from_logits, mix_label
+from .smoothing import SmoothingConfig, build_label, labo_from_logits
 from .train import TrainConfig, evaluate, run_training, shape_mismatch, train_teacher, write_reports_csv
 from .verify import run_verification, VERIFY_SEED
 
@@ -192,16 +192,16 @@ def cmd_smooth(args) -> int:
     if not 0 <= args.k < z.size:
         return _fail(f"--k {args.k} out of range for {z.size} logits", 2)
     try:  # the flags go through the rows of train.smoothing
-        SmoothingConfig(alpha=SmoothingConfig.alpha if args.alpha is None else args.alpha, rho=args.rho, tau=args.tau)
+        cfg = SmoothingConfig(alpha=SmoothingConfig.alpha if args.alpha is None else args.alpha, rho=args.rho,
+                              tau=args.tau)
     except ValueError as e:
         return _fail(f"--{e}", 2)
-    try:
+    try:  # the label and alpha training builds: adaptive, and fixed when --alpha is given
         p = numerics.softmax(z)
         p_star = labo_from_logits(z, args.tau)
-        alpha_ad = adaptive_alpha(p, args.rho)
-        alpha_used = args.alpha if args.alpha is not None else alpha_ad
-        label = mix_label(args.k, p_star, alpha_used)
-        breakdown = unified_objective(args.k, z, p_star, alpha_used, alpha_used * args.tau)
+        adaptive = build_label(args.k, z, "labo", replace(cfg, alpha_rule="adaptive"))
+        label = adaptive if args.alpha is None else build_label(args.k, z, "labo", cfg)
+        breakdown = unified_objective(args.k, z, p_star, label.alpha_used, label.alpha_used * args.tau)
     except ValueError as e:
         return _fail(str(e), 2)
     doc = {
@@ -210,8 +210,8 @@ def cmd_smooth(args) -> int:
         "tau": args.tau,
         "model_dist": p.tolist(),
         "optimal_smoothing": p_star.tolist(),
-        "adaptive_alpha": {"rho": args.rho, "value": alpha_ad},
-        "alpha_used": alpha_used,
+        "adaptive_alpha": {"rho": args.rho, "value": adaptive.alpha_used},
+        "alpha_used": label.alpha_used,
         "label": label.dist.tolist(),
         "objective": {
             "ce_term": breakdown.ce_term,

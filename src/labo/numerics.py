@@ -5,9 +5,10 @@ large exponents produced by tempered transforms cannot underflow raw
 probabilities. Everything is float64; the tolerances quoted in the test
 suite assume double precision.
 
-Each kernel exists once, and the per-instance functions call the ones
-training uses. The simplex oracle keeps its own normalisation, so that it
-never depends on the kernels it certifies.
+Each kernel exists once. Functions of logits are one-row views of the
+training kernels, with the bits of a training row; functions of
+distributions (`entropy`, `kl_div`) and the simplex oracle, which keeps its
+own normalisation, are the independent routes that certify them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "check_prob_vec",
     "check_class_index",
     "uniform",
-    "onehot",
     "softmax",
     "log_softmax",
     "tempered_softmax",
@@ -73,21 +73,9 @@ def uniform(num_classes: int) -> np.ndarray:
     return np.full(num_classes, 1.0 / num_classes)
 
 
-def onehot(k: int, num_classes: int) -> np.ndarray:
-    """One-hot vector with unit mass on class `k`."""
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    check_class_index(k, num_classes)
-    e = np.zeros(num_classes)
-    e[k] = 1.0
-    return e
-
-
 def softmax(z) -> np.ndarray:
-    """Softmax with max-shift stabilization: exp(z - max) / sum."""
-    z = check_logits(z)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax of one logit vector as training computes it: exp(log_softmax(z)), the bits of a batch row."""
+    return np.exp(log_softmax(z))
 
 
 def log_softmax_rows(Z: np.ndarray) -> np.ndarray:

@@ -10,10 +10,11 @@ and distillation with temperature 1 is the p_ls = teacher special case up
 to an additive constant (see `kd_decomposition_residual`).
 
 `batch_objective` computes the labels, losses and logit gradient of a training
-batch in one pass, for every mode; `kd_loss`, `cp_loss` and `cp_grad_wrt_logits`
-are checked one-row views of it. Its rows, `smoothed_ce` and `unified_objective`
-are pinned to 50-digit goldens (`scripts/derive_test_constants.py`). Batch
-reduction is the arithmetic mean, which keeps gradient scale independent of batch size.
+batch in one pass, for every mode; `kd_loss`, `cp_loss`, `cp_grad_wrt_logits`
+and `smoothing.build_label` are checked one-row views of its kernel. Its rows,
+`smoothed_ce` and `unified_objective` are pinned to 50-digit goldens
+(`scripts/derive_test_constants.py`). Batch reduction is the arithmetic mean,
+which keeps gradient scale independent of batch size.
 """
 
 from __future__ import annotations
@@ -70,27 +71,29 @@ def unified_objective(k: int, z, p_ls, alpha: float, beta: float) -> ObjectiveBr
 
 
 def _one_row(k: int, z, mode: str, cfg, beta_cp: float = 0.0, teacher_p=None):
-    """Loss and logit gradient of `batch_objective`'s `mode` on the one-row batch (k, z), checked first."""
+    """Label, alpha, loss and logit gradient of the training kernel's `mode` on the one-row batch (k, z), checked first.
+    It runs `_batch_objective_into` itself: its rows are training's whatever the name `batch_objective` holds."""
     if beta_cp < 0:
         raise ValueError(f"beta_cp must be >= 0, got {beta_cp}")
     z = check_logits(z)
     if teacher_p is not None and teacher_p.shape != z.shape:  # kd's teacher distribution, checked
         raise ValueError(f"shape mismatch: teacher {teacher_p.shape} vs logits {z.shape}")
     check_class_index(k, z.shape[0])  # before indexing: k = -1 would read the last class
-    with np.errstate(divide="ignore"):  # a teacher's log 0 = -inf, which `batch_objective` takes as 0 * log 0 = 0
-        teacher_logP = None if teacher_p is None else np.log(teacher_p[None, :])
-    _, _, losses, grad = batch_objective(np.array([k]), z[None, :], mode, cfg, beta_cp, teacher_logP)
-    return float(losses[0]), grad[0]
+    with np.errstate(divide="ignore"):  # a teacher's log 0 = -inf, which `_log0_clamped` takes as 0 * log 0 = 0
+        teacher_logP = None if teacher_p is None else _log0_clamped(np.log(teacher_p[None, :]))
+    labels, alphas, losses, grad = _batch_objective_into(np.array([k]), z[None, :], mode, cfg, beta_cp, teacher_logP,
+                                                         _objective_buffers(1, z.shape[0]))
+    return labels[0], float(alphas[0]), float(losses[0]), grad[0]
 
 
 def cp_loss(k: int, z, beta_cp: float) -> float:
     """Cross entropy minus beta_cp * H(p): a penalty on confident (low-entropy) outputs."""
-    return _one_row(k, z, "cp", None, beta_cp)[0]  # cp reads no smoothing setting
+    return _one_row(k, z, "cp", None, beta_cp)[2]  # cp reads no smoothing setting
 
 
 def cp_grad_wrt_logits(k: int, z, beta_cp: float) -> np.ndarray:
     """Analytic gradient of `cp_loss` with respect to the logits: p - onehot(k) + beta_cp * p * (log p + H(p))."""
-    return _one_row(k, z, "cp", None, beta_cp)[1]
+    return _one_row(k, z, "cp", None, beta_cp)[3]
 
 
 def kd_loss(k: int, z, teacher_p, alpha: float) -> float:
@@ -102,7 +105,7 @@ def kd_loss(k: int, z, teacher_p, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     # alpha is checked above: a namespace spares checking a whole SmoothingConfig again (8 us)
-    return _one_row(k, z, "kd", SimpleNamespace(alpha=alpha), teacher_p=check_prob_vec(teacher_p))[0]
+    return _one_row(k, z, "kd", SimpleNamespace(alpha=alpha), teacher_p=check_prob_vec(teacher_p))[2]
 
 
 def kd_decomposition_residual(k: int, z, teacher_p, alpha: float) -> float:
@@ -139,11 +142,10 @@ def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0
     """Labels, per-row losses and mean-loss logit gradient of one batch.
 
     `mode` is a training mode: one of `smoothing.MODES`, or "cp" (one-hot
-    labels plus the confidence penalty). Rows are pinned to 50-digit goldens
-    and match the per-instance path: the label is `build_label`, the loss
-    `smoothed_ce` (none, ls) or `unified_objective` with beta = alpha * tau
-    (labo), the gradient row `grad_wrt_logits` / n; `kd_loss` and `cp_loss`
-    are its kd and cp rows. `teacher_logP` holds kd's (n, K) teacher log-
+    labels plus the confidence penalty). Rows are pinned to 50-digit goldens;
+    `build_label`, `kd_loss` and `cp_loss` are checked one-row views, and
+    `smoothed_ce` and `unified_objective` (beta = alpha * tau) the independent
+    routes to the loss. `teacher_logP` holds kd's (n, K) teacher log-
     probabilities: -inf counts as 0 * log 0 = 0, finite entries keep their bits.
 
     Returns (labels, alphas, losses, grad) of shapes (n, K), (n,), (n,),
@@ -151,8 +153,13 @@ def batch_objective(ks, Z, mode: str, cfg: SmoothingConfig, beta_cp: float = 0.0
     fixed in grad, so an adaptive alpha(z) counts as a per-row constant.
     For K <= 7 it runs class-major, with the same bits (`_objective_buffers`).
     """
-    teacher_logP = None if teacher_logP is None else np.maximum(teacher_logP, -np.finfo(float).max)
+    teacher_logP = None if teacher_logP is None else _log0_clamped(teacher_logP)
     return _batch_objective_into(ks, Z, mode, cfg, beta_cp, teacher_logP, _objective_buffers(*Z.shape))
+
+
+def _log0_clamped(teacher_logP):
+    """Teacher log-probabilities with -inf raised to -max: finite, so that the kd rows take 0 * log 0 as 0."""
+    return np.maximum(teacher_logP, -np.finfo(float).max)
 
 
 def _objective_buffers(n: int, num_classes: int, class_major=None) -> SimpleNamespace:

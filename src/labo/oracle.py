@@ -75,6 +75,7 @@ def solve_inner_numeric(
     `argmin` and (n,) objectives; each sweep steps only the rows not yet
     converged, so a row takes the iterates of its own n = 1 solve.
     `iterations` counts sweeps and `converged` holds when every row has.
+    A beta so small (about 1e-5) that a step leaves the float range raises ValueError.
     """
     try:
         where = "" if np.ndim(p) < 2 else "row {}: "
@@ -96,17 +97,22 @@ def solve_inner_numeric(
     a, b, lr = A[:, None], B[:, None], 0.1 / B[:, None]
     active = np.arange(n)
     iterations = 0
-    while active.size and iterations < max_iter:
-        iterations += 1
-        x = X[active]
-        g = inner_gradient(x, P[active], a[active], b[active])
-        # log-domain multiplicative step, renormalized via softmax shift
-        logx = np.log(x) - lr[active] * g
-        logx -= logx.max(axis=1, keepdims=True)
-        x_new = np.exp(logx)
-        x_new /= x_new.sum(axis=1, keepdims=True)
-        X[active] = x_new
-        active = active[~(np.abs(x_new - x).max(axis=1) <= tol)]  # a NaN step is not convergence
+    with np.errstate(all="ignore"):  # a step that leaves the float range is reported below, naming beta and the row
+        while active.size and iterations < max_iter:
+            iterations += 1
+            x = X[active]
+            g = inner_gradient(x, P[active], a[active], b[active])
+            # log-domain multiplicative step, renormalized via softmax shift
+            logx = np.log(x) - lr[active] * g
+            logx -= logx.max(axis=1, keepdims=True)
+            x_new = np.exp(logx)
+            x_new /= x_new.sum(axis=1, keepdims=True)
+            X[active] = x_new
+            step = np.abs(x_new - x).max(axis=1)
+            for i in active[np.isnan(step)][:1]:  # an entry underflowed to 0 the sweep before, or lr * g overflowed
+                bad = B[i] if where else beta
+                raise ValueError(f"{where.format(i)}beta {bad} is too small: a step 0.1/beta left the float range")
+            active = active[~(step <= tol)]
 
     objective = [inner_objective(*row) for row in zip(X, P, A, B)]
     argmin, objective = (X, np.array(objective)) if where else (X[0], objective[0])

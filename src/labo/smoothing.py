@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import check_class_index, check_logits, check_prob_vec, onehot, uniform
+from .numerics import check_class_index, check_logits, check_prob_vec, uniform
 from .schema import MODES, SMOOTHING, Config
 
 __all__ = [
@@ -122,27 +122,21 @@ def adaptive_alpha(p, rho: float) -> float:
 def build_label(k: int, z, mode: str, cfg: SmoothingConfig, teacher_p=None) -> SmoothedLabel:
     """Construct the training label for one instance in `mode` under `cfg`.
 
-    The returned label is a plain constant: it holds freshly allocated
-    arrays and is never differentiated through, matching the two-stage
-    scheme where the smoothing distribution is recomputed from the current
-    forward pass and then held fixed for the parameter update.
+    The label and alpha are the row training builds: `batch_objective`'s on
+    the one-row batch (k, z), with kd's teacher log-probabilities taken as
+    log(teacher_p). The returned label is a plain constant: it holds freshly
+    allocated arrays and is never differentiated through, matching the
+    two-stage scheme where the smoothing distribution is recomputed from the
+    current forward pass and then held fixed for the parameter update.
     """
+    from . import objectives  # which imports this module
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     z = check_logits(z)
-    num_classes = z.shape[0]
-    if mode == "labo":
-        # alpha from the rule applied to the current model distribution, smoothing
-        # distribution from the tempered logits
-        alpha = adaptive_alpha(numerics.softmax(z), cfg.rho) if cfg.alpha_rule == "adaptive" else cfg.alpha
-        return mix_label(k, labo_from_logits(z, cfg.tau), alpha)
-    if mode == "none":
-        return SmoothedLabel(target=k, alpha_used=0.0, dist=onehot(k, num_classes))
-    if mode == "ls":
-        return uniform_smooth(k, num_classes, cfg.alpha)
-    if teacher_p is None:
+    if mode == "labo":  # the tempered logits, checked as `labo_from_logits` checks them
+        check_logits(z / cfg.tau)
+    if mode == "kd" and teacher_p is None:
         raise ValueError("kd mode requires teacher_p")
-    teacher_p = check_prob_vec(teacher_p)
-    if teacher_p.shape != (num_classes,):
-        raise ValueError(f"shape mismatch: teacher {teacher_p.shape} vs logits {(num_classes,)}")
-    return mix_label(k, teacher_p, cfg.alpha)
+    teacher_p = check_prob_vec(teacher_p) if mode == "kd" else None  # other modes ignore a teacher
+    label, alpha, _, _ = objectives._one_row(k, z, mode, cfg, teacher_p=teacher_p)
+    return SmoothedLabel(target=k, alpha_used=alpha, dist=label)

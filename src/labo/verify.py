@@ -93,9 +93,11 @@ def _stacked_logits(m: MlpModel, thetas: np.ndarray, x: np.ndarray) -> np.ndarra
 def _fd_vs_backprop(rng, mode: str, cfg):
     """Relative L2 error of backprop against FD on a drawn 2-8-3 model, input and class k; and its logits z.
 
-    Backprop pushes the CE gradient of `build_label(k, z, mode, cfg)`; FD
-    differentiates the training loss, the rows of `batch_objective(mode, cfg)`
-    at all 2P perturbed parameter vectors in one stacked forward.
+    Backprop pushes `grad_wrt_logits` of `build_label(k, z, mode, cfg)`: the
+    label and gradient rows of the training kernel on (k, z), which it runs
+    without the name `batch_objective`. FD differentiates the training loss,
+    the rows of `batch_objective(mode, cfg)` at all 2P perturbed parameter
+    vectors in one stacked forward.
     """
     m = MlpModel([2, 8, 3], seed=int(rng.integers(1 << 30)))
     x = rng.normal(0.0, 1.0, size=2)

@@ -543,6 +543,21 @@ class TestSmoothCommand:
         assert doc["alpha_used"] == 0.0
         assert doc["label"] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("alpha", [None, 0.3], ids=["adaptive", "fixed"])
+    def test_prints_the_label_training_builds(self, capsys, alpha):
+        """Label, alpha_used and the adaptive value are `build_label`'s, the rows of the training kernel."""
+        z = [3.0, -1.0, 0.5, 2.0, -40.0]
+        argv = ["smooth", "--logits", ",".join(map(repr, z)), "--k", "3", "--tau", "1.7", "--rho", "0.75"]
+        assert main(argv + ([] if alpha is None else ["--alpha", repr(alpha)])) == 0
+        doc = strict_json(capsys.readouterr().out)
+        adaptive = smoothing_mod.build_label(3, z, "labo", smoothing_mod.SmoothingConfig(alpha_rule="adaptive",
+                                                                                        rho=0.75, tau=1.7))
+        label = adaptive if alpha is None else smoothing_mod.build_label(
+            3, z, "labo", smoothing_mod.SmoothingConfig(alpha=alpha, tau=1.7))
+        assert doc["label"] == label.dist.tolist()
+        assert doc["alpha_used"] == label.alpha_used
+        assert doc["adaptive_alpha"]["value"] == adaptive.alpha_used
+
     @pytest.mark.parametrize("flag, value", [("--tau", "inf"), ("--alpha", "nan"), ("--rho", "inf")])
     def test_non_finite_hyperparameter(self, capsys, flag, value):
         assert main(["smooth", "--logits", "2,1,0", flag, value]) == 2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labo.numerics import PROB_SUM_TOL, entropy, log_softmax, log_softmax_rows, onehot, softmax, uniform
+from labo.numerics import PROB_SUM_TOL, entropy, log_softmax, log_softmax_rows, softmax, uniform
 from labo.objectives import (
     ObjectiveBreakdown,
     _batch_objective_into,

@@ -227,6 +227,32 @@ class TestBatch:
         with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
             verify_closed_form([0.7, 0.2, 0.1], 1.0, np.inf)
 
+    @pytest.mark.parametrize("beta", [1e-5, 1e-10, 1e-300])
+    def test_too_small_beta_is_named_at_the_first_non_finite_step(self, beta, monkeypatch):
+        """The step 0.1/beta underflows an iterate entry to 0 (or overflows), and the next sweep would turn the
+        row NaN; the solver stops there, within two sweeps and without a numpy warning, naming beta and the row."""
+        sweeps = []
+        original = oracle_mod.inner_gradient
+        monkeypatch.setattr(oracle_mod, "inner_gradient", lambda *args: sweeps.append(1) or original(*args))
+        message = f"beta {beta!r} is too small: a step 0.1/beta left the float range"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            solve_inner_numeric([0.5, 0.3, 0.2], 0.5, beta)
+        assert len(sweeps) <= 2
+        sweeps.clear()
+        with pytest.raises(ValueError, match="^row 1: " + re.escape(message) + "$"):
+            solve_inner_numeric([[0.6, 0.3, 0.1], [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], 0.5, [1.0, beta, 1.0])
+        assert len(sweeps) <= 2
+
+    @pytest.mark.parametrize("beta", [1e-3, 1e-4])
+    def test_small_beta_still_converges(self, beta):
+        """Two sweeps land within 1e-20 of the closed form, alone and as row 1 of a batch."""
+        p = np.array([0.5, 0.3, 0.2])
+        alone = solve_inner_numeric(p, 0.5, beta)
+        assert alone.converged and alone.iterations == 2
+        assert np.abs(alone.argmin - labo_optimal_smoothing(p, beta / 0.5)).max() <= 1e-20
+        batch = solve_inner_numeric([[0.6, 0.3, 0.1], p], 0.5, [1.0, beta])
+        assert batch.converged and batch.argmin[1].tolist() == alone.argmin.tolist()
+
     def test_max_iter_too_small_for_one_row(self, monkeypatch):
         P = np.array([[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])  # uniform rows start at their optimum
         enough = solve_inner_numeric(P[0], 1.0, 2.0, tol=1e-14).iterations

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from labo.numerics import entropy, log_softmax_rows, onehot, softmax, tempered_softmax, uniform
+from labo.numerics import entropy, log_softmax_rows, softmax, tempered_softmax, uniform
 from labo.objectives import batch_objective
 from labo.smoothing import (
     SmoothingConfig,
@@ -93,7 +93,7 @@ class TestMixLabel:
 
     def test_zero_alpha_is_onehot(self):
         label = mix_label(2, [0.5, 0.3, 0.2], 0.0)
-        np.testing.assert_array_equal(label.dist, onehot(2, 3))
+        np.testing.assert_array_equal(label.dist, np.eye(3)[2])
 
     def test_derived_value(self):
         label = mix_label(0, [0.5, 0.3, 0.2], 0.4)
@@ -236,7 +236,7 @@ class TestBuildLabel:
         cfg = SmoothingConfig(alpha_rule="fixed", alpha=0.0, tau=1.25)
         for z in ([2.0, 1.0, 0.0], [-3.0, 5.0, 0.1]):
             label = build_label(1, z, "labo", cfg)
-            np.testing.assert_array_equal(label.dist, onehot(1, 3))
+            np.testing.assert_array_equal(label.dist, np.eye(3)[1])
 
     @pytest.mark.parametrize("z", [[2.0, 1.0, 0.0], [-3.0, 5.0, 0.1, 40.0]])
     def test_labo_fixed_alpha_is_the_tempered_mix(self, z):
@@ -265,7 +265,7 @@ class TestBuildLabel:
     def test_none_mode_ignores_logits(self):
         cfg = SmoothingConfig()
         label = build_label(1, [9.0, -9.0, 0.0], "none", cfg)
-        np.testing.assert_array_equal(label.dist, onehot(1, 3))
+        np.testing.assert_array_equal(label.dist, np.eye(3)[1])
         assert label.alpha_used == 0.0
 
     def test_kd_requires_teacher(self):
@@ -338,3 +338,54 @@ class TestBuildLabelBatch:
         second = batch_objective(ks, Z, "labo", cfg)
         for a, b in zip(second, reference):
             np.testing.assert_array_equal(a, b)
+
+
+class TestFunctionsOfLogitsAreKernelRows:
+    """The per-instance functions of logits return the bits of the training kernel's rows.
+
+    K covers both layouts of `batch_objective` (class-major for K <= 7), and the
+    logit scales reach 350, where tiny probabilities exp(log p) are least accurate.
+    """
+
+    CLASS_COUNTS = (2, 3, 7, 8, 100)
+    SCALES = (1.0, 30.0, 350.0)
+    CONFIGS = [
+        ("none", SmoothingConfig()),
+        ("ls", SmoothingConfig(alpha=0.3)),
+        ("kd", SmoothingConfig(alpha=0.4)),
+        ("labo", SmoothingConfig(alpha_rule="fixed", alpha=0.3, tau=1.7)),
+        ("labo", SmoothingConfig(alpha_rule="adaptive", rho=0.75, tau=0.6)),
+    ]
+
+    def batches(self):
+        """(Z, ks, T) per class count and scale: 12 rows of logits, classes and teachers; row 0's teacher has a 0."""
+        rng = np.random.default_rng(33)
+        for num_classes in self.CLASS_COUNTS:
+            for scale in self.SCALES:
+                Z = rng.normal(0.0, scale, size=(12, num_classes))
+                T = rng.dirichlet(np.ones(num_classes), size=12)
+                T[0, int(rng.integers(num_classes))] = 0.0
+                yield Z, rng.integers(num_classes, size=12), T / T.sum(axis=1, keepdims=True)
+
+    def test_softmax_family_is_exp_of_the_row_kernel(self):
+        mismatches = 0
+        for Z, _, _ in self.batches():
+            for tau in (0.6, 1.0, 1.7):
+                Q = np.exp(log_softmax_rows(Z / tau))
+                for z, q in zip(Z, Q):
+                    mismatches += not np.array_equal(tempered_softmax(z, tau), q)
+                    mismatches += not np.array_equal(labo_from_logits(z, tau), q)
+            mismatches += sum(not np.array_equal(softmax(z), p) for z, p in zip(Z, np.exp(log_softmax_rows(Z))))
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("mode, cfg", CONFIGS, ids=["none", "ls", "kd", "labo-fixed", "labo-adaptive"])
+    def test_build_label_is_the_batch_objective_row(self, mode, cfg):
+        mismatches = []
+        for Z, ks, T in self.batches():
+            with np.errstate(divide="ignore"):  # the zero teacher entry's log is -inf
+                labels, alphas, _, _ = batch_objective(ks, Z, mode, cfg, teacher_logP=np.log(T))
+            for i, (z, k, t) in enumerate(zip(Z, ks, T)):
+                label = build_label(int(k), z, mode, cfg, teacher_p=t if mode == "kd" else None)
+                if not (np.array_equal(label.dist, labels[i]) and label.alpha_used == alphas[i]):
+                    mismatches.append((z.size, i))
+        assert mismatches == []
